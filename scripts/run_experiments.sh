@@ -6,6 +6,13 @@ set -euo pipefail
 OUT=${1:-results}
 mkdir -p "$OUT"
 
+# without an installed console script, run the package from this checkout
+if ! command -v entcov >/dev/null 2>&1; then
+    SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/src"
+    export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
+    entcov() { python3 -m entcov.cli "$@"; }
+fi
+
 R2=0.7071067811865476  # 1/sqrt(2)
 
 # two-qubit Werner-Bell eigenvalue sweep; detection sets in at mu = 1/3

@@ -30,7 +30,7 @@ from .criterion import (
 from .linalg import HermiticityError
 from .observables import collective_spin_set, hp_quadrature_set, pauli_product_set, rotate_so3
 from .reference import AnnealParams, ppt_min_eigenvalue, witness_optimize
-from .states import bell_state, spin_ensemble_state, werner_mix
+from .states import WernerState, bell_state, spin_ensemble_state, werner_mix
 from .suite import run_property_battery
 
 EXIT_OK = 0
@@ -202,19 +202,21 @@ def run_spin_ensemble(cfg: SweepConfig) -> int:
         for name in flags:
             flags[name].append([])
         for i_t, t in enumerate(ts):
-            rho = werner_mix(states[i_t], mu)
+            # the criterion columns need only psi and mu; the dense D x D
+            # state is built for the partial-transpose spectrum alone
+            state = WernerState(states[i_t], mu)
             row = [_fmt(mu), _fmt(t)]
             if "cm" in cfg.criteria:
-                report = detect(evaluators["cm"].matrix(rho), cfg.tolerance)
+                report = detect(evaluators["cm"].matrix(state), cfg.tolerance)
                 row += [_fmt(e) for e in report.eigenvalues]
                 row += [_fmt(report.determinant), report.verdict]
                 flags["cm"][-1].append(report.verdict == ENTANGLED)
             if "ds" in cfg.criteria:
-                report = detect(evaluators["ds"].matrix(rho), cfg.tolerance)
+                report = detect(evaluators["ds"].matrix(state), cfg.tolerance)
                 row += [_fmt(report.min_eigenvalue), _fmt(report.determinant), report.verdict]
                 flags["ds"][-1].append(report.verdict == ENTANGLED)
             if "ppt" in cfg.criteria:
-                row += [_fmt(ppt_min_eigenvalue(rho))]
+                row += [_fmt(ppt_min_eigenvalue(werner_mix(states[i_t], mu)))]
             if "ew" in cfg.criteria:
                 value, residual = ew_values[i_mu * len(ts) + i_t]
                 row += [_fmt(value), _fmt(residual)]

@@ -1,25 +1,33 @@
 """Covariance and commutation matrices, the operator-level partial-transpose
 criterion matrix, and verdict reporting.
 
-Two equivalent routes to the criterion matrix are implemented.  The primary
-route transposes the operator products xi_j xi_k over subsystem B by index
-reshuffling, which is correct for arbitrary joint-support operators.  The
-second route averages the untransposed operators against the partially
-transposed state; the two must agree entrywise and each serves as the oracle
-for the other in the test suite.  A third route reconstructs the matrix from
-externally measured correlation data when every operator is locally
-supported with a definite transpose parity.
+CriterionEvaluator builds the criterion matrix by one of two routes, chosen
+from its inputs.  When every observable is local to A or to B and the state
+is a PureState or a WernerState (a Werner mixture of a pure state), it works
+on the (dim_a x dim_b) amplitude matrix Psi: an A-side factor a acts as
+a Psi and a B-side factor b as Psi b, which is the partially transposed
+I_A (x) b^T acting on psi, so the N x N matrix costs O(N dim^3) and no
+D x D array is formed.  For a DensityMatrix or a raw array, and for sets
+with joint-support members such as the Pauli products, it transposes the
+operator products xi_j xi_k over subsystem B by index reshuffling and
+traces them against the dense state; those tables are built on the first
+such call.  criterion_matrix_pt_state averages the untransposed operators
+against the partially transposed state instead and serves as the test
+oracle for both.  A further route reconstructs the matrix from externally
+measured correlation data when every operator is locally supported with a
+definite transpose parity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import DEFAULT_HERMITICITY_TOL, hermitian_eigenvalues, hermitize, partial_transpose
 from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet
-from .states import as_matrix
+from .states import PureState, WernerState, as_matrix
 
 DEFAULT_VERDICT_TOL = 1e-9
 DATA_TOL = 1e-10
@@ -103,44 +111,89 @@ def uncertainty_matrix(rho, observables) -> np.ndarray:
 class CriterionEvaluator:
     """Repeated criterion-matrix evaluation over one observable set.
 
-    The partially transposed operators and pairwise products do not depend
-    on the state, so they are built once; each evaluation then costs one
-    trace per matrix entry.  Entry (j,k) is
+    Entry (j,k) is
     Tr[rho PT_B(xi_j xi_k)] - Tr[rho PT_B(xi_j)] Tr[rho PT_B(xi_k)].
+    For a Werner mixture rho = mu |psi><psi| + (1-mu) I/D of a pure state on
+    local observables it equals mu G + (1-mu) T - m m^T, where
+    G[j,k] = <v_j|v_k> (<v_k|v_j> when both act on B) over the vectors
+    v_j = a_j Psi or Psi b_j, T[j,k] = Tr(xi_j xi_k)/D, and
+    m_j = mu Re<psi|v_j> + (1-mu) Tr(xi_j)/D.  T and Tr(xi_j)/D depend on
+    the observables alone and are computed here.  Dense states use the
+    partially transposed operator products instead, built on first use.
     """
 
     def __init__(self, obs_set: ObservableSet):
         self.obs_set = obs_set
-        da, db = obs_set.dim_a, obs_set.dim_b
-        mats = obs_set.matrices()
-        n = len(mats)
-        self._n = n
-        self._dim = da * db
-        self._pt_singles = np.stack(
-            [partial_transpose(x, da, db, "B") for x in mats]
+        self._n = len(obs_set)
+        self._dim = obs_set.dim_a * obs_set.dim_b
+        factors = obs_set.local_factors
+        self._local = all(f is not None for f in factors)
+        if not self._local:
+            return
+        on_b = np.array([o.support == SUPPORT_B for o in obs_set])
+        side_dims = np.where(on_b, obs_set.dim_b, obs_set.dim_a)
+        self._factors = factors
+        self._on_b = on_b
+        self._both_b = np.outer(on_b, on_b)
+        self._trace_means = np.array([np.trace(f).real for f in factors]) / side_dims
+        t = np.outer(self._trace_means, self._trace_means)
+        for j in range(self._n):
+            for k in range(self._n):
+                if on_b[j] == on_b[k]:
+                    t[j, k] = np.einsum("ab,ba->", factors[j], factors[k]).real / side_dims[j]
+        self._mixed_moments = t
+
+    @cached_property
+    def _pt_tables(self) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+        da, db = self.obs_set.dim_a, self.obs_set.dim_b
+        mats = self.obs_set.matrices()
+        pairs = [(j, k) for j in range(self._n) for k in range(j, self._n)]
+        singles = np.stack([partial_transpose(x, da, db, "B") for x in mats])
+        products = np.stack(
+            [partial_transpose(mats[j] @ mats[k], da, db, "B") for j, k in pairs]
         )
-        self._pairs = [(j, k) for j in range(n) for k in range(j, n)]
-        self._pt_products = np.stack(
-            [partial_transpose(mats[j] @ mats[k], da, db, "B") for j, k in self._pairs]
-        )
+        return pairs, singles, products
 
     def matrix(self, rho) -> np.ndarray:
+        if isinstance(rho, PureState):
+            rho = WernerState(rho, 1.0)
+        if isinstance(rho, WernerState) and self._local:
+            return self._werner_matrix(rho)
         r = as_matrix(rho)
         if r.shape[0] != self._dim:
             raise ValueError(
                 f"state dimension {r.shape[0]} does not match observables {self._dim}"
             )
-        means = np.einsum("nab,ba->n", self._pt_singles, r).real
-        moments = np.einsum("pab,ba->p", self._pt_products, r)
+        pairs, pt_singles, pt_products = self._pt_tables
+        means = np.einsum("nab,ba->n", pt_singles, r).real
+        moments = np.einsum("pab,ba->p", pt_products, r)
         c = np.zeros((self._n, self._n), dtype=complex)
-        for (j, k), e in zip(self._pairs, moments):
+        for (j, k), e in zip(pairs, moments):
             c[j, k] = e - means[j] * means[k]
             c[k, j] = np.conj(c[j, k])
         return hermitize(c)
 
+    def _werner_matrix(self, state: WernerState) -> np.ndarray:
+        psi = state.psi
+        if (psi.dim_a, psi.dim_b) != (self.obs_set.dim_a, self.obs_set.dim_b):
+            raise ValueError(
+                f"state dimensions {psi.dim_a}x{psi.dim_b} do not match observables "
+                f"{self.obs_set.dim_a}x{self.obs_set.dim_b}"
+            )
+        amp = psi.amplitudes.reshape(psi.dim_a, psi.dim_b)
+        v = np.stack([
+            amp @ f if on_b else f @ amp for f, on_b in zip(self._factors, self._on_b)
+        ]).reshape(self._n, -1)
+        g = v.conj() @ v.T
+        g = np.where(self._both_b, g.T, g)
+        mu = state.mu
+        means = mu * (v @ psi.amplitudes.conj()).real + (1.0 - mu) * self._trace_means
+        c = mu * g + (1.0 - mu) * self._mixed_moments - np.outer(means, means)
+        return hermitize(c)
+
 
 def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
-    """Criterion matrix via partial transposition of the operator products.
+    """Criterion matrix of one state, by the route CriterionEvaluator picks.
 
     With a single observable this degenerates to the 1x1 variance of the
     transposed operator, which is never negative: one observable cannot

@@ -5,11 +5,15 @@ The Dicke-basis matrix elements are real for S^x and S^z and purely
 imaginary for S^y, so the transpose over one subsystem acts on the
 generated operators as an exact sign: +1 for S^x, S^z and -1 for S^y.
 That sign is recorded as pt_parity on each observable.
+
+An observable tagged "A" must be a (x) I_B and one tagged "B" must be
+I_A (x) b; ObservableSet checks the tag and keeps the local factor a or b,
+which is all the pure-state criterion route reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +25,7 @@ SUPPORT_JOINT = "JOINT"
 
 OBS_HERMITICITY_TOL = 1e-10
 PT_PARITY_TOL = 1e-10
+SUPPORT_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,13 +57,41 @@ class Observable:
         object.__setattr__(self, "matrix", m)
 
 
+def _local_factor(o: Observable, dim_a: int, dim_b: int, scale: float) -> np.ndarray:
+    """The factor a of a (x) I_B (tag "A") or b of I_A (x) b (tag "B").
+
+    The factor is the normalized partial trace over the other side; the tag
+    is rejected when the matrix differs from the factor tensored with the
+    identity by more than SUPPORT_TOL relative to its norm.
+    """
+    t = o.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
+    if o.support == SUPPORT_A:
+        factor = np.einsum("ibjb->ij", t) / dim_b
+        rebuilt = np.kron(factor, np.eye(dim_b))
+    else:
+        factor = np.einsum("iaib->ab", t) / dim_a
+        rebuilt = np.kron(np.eye(dim_a), factor)
+    if np.linalg.norm(o.matrix - rebuilt) > SUPPORT_TOL * scale:
+        identity = "I_B" if o.support == SUPPORT_A else "I_A"
+        raise ValueError(
+            f"observable {o.label!r} is tagged {o.support!r} but is not a local "
+            f"factor tensored with {identity}"
+        )
+    return factor
+
+
 @dataclass(frozen=True, eq=False)
 class ObservableSet:
-    """Ordered collection of observables sharing one bipartite space."""
+    """Ordered collection of observables sharing one bipartite space.
+
+    local_factors holds, member by member, the A- or B-side factor of a
+    locally supported observable and None for a joint one.
+    """
 
     observables: tuple[Observable, ...]
     dim_a: int
     dim_b: int
+    local_factors: tuple[np.ndarray | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         obs = tuple(self.observables)
@@ -66,6 +99,7 @@ class ObservableSet:
             raise ValueError("observable set is empty")
         d = self.dim_a * self.dim_b
         labels = set()
+        factors = []
         for o in obs:
             if o.matrix.shape != (d, d):
                 raise ValueError(
@@ -74,9 +108,22 @@ class ObservableSet:
             scale = max(1.0, float(np.linalg.norm(o.matrix)))
             if np.linalg.norm(o.matrix - o.matrix.conj().T) > OBS_HERMITICITY_TOL * scale:
                 raise ValueError(f"observable {o.label!r} is not Hermitian")
+            factor = None
+            if o.support != SUPPORT_JOINT:
+                factor = _local_factor(o, self.dim_a, self.dim_b, scale)
             if o.pt_parity is not None:
-                pt = partial_transpose(o.matrix, self.dim_a, self.dim_b, "B")
-                if np.linalg.norm(pt - o.pt_parity * o.matrix) > PT_PARITY_TOL * scale:
+                if factor is None:
+                    pt = partial_transpose(o.matrix, self.dim_a, self.dim_b, "B")
+                    defect = np.linalg.norm(pt - o.pt_parity * o.matrix)
+                else:
+                    # PT_B maps a (x) I_B to itself and I_A (x) b to I_A (x) b^T;
+                    # an identity factor of dimension d scales the Frobenius
+                    # norm by sqrt(d)
+                    on_b = o.support == SUPPORT_B
+                    pt = factor.T if on_b else factor
+                    width = self.dim_a if on_b else self.dim_b
+                    defect = np.linalg.norm(pt - o.pt_parity * factor) * np.sqrt(width)
+                if defect > PT_PARITY_TOL * scale:
                     raise ValueError(
                         f"observable {o.label!r} does not have partial-transpose "
                         f"parity {o.pt_parity}"
@@ -84,7 +131,9 @@ class ObservableSet:
             if o.label in labels:
                 raise ValueError(f"duplicate observable label {o.label!r}")
             labels.add(o.label)
+            factors.append(factor)
         object.__setattr__(self, "observables", obs)
+        object.__setattr__(self, "local_factors", tuple(factors))
 
     def __len__(self) -> int:
         return len(self.observables)

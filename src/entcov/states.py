@@ -96,10 +96,33 @@ class DensityMatrix:
         return self
 
 
+@dataclass(frozen=True, eq=False)
+class WernerState:
+    """Werner mixture mu |psi><psi| + (1-mu) I/D of a pure state, kept as psi
+    and mu; the D x D matrix is built only when density() is called."""
+
+    psi: PureState
+    mu: float
+
+    def __post_init__(self):
+        if not isinstance(self.psi, PureState):
+            raise ValueError(f"psi must be a PureState, got {type(self.psi).__name__}")
+        mu = float(self.mu)
+        if not 0.0 <= mu <= 1.0:
+            raise ValueError(f"mixing parameter mu={mu} outside [0, 1]")
+        object.__setattr__(self, "mu", mu)
+
+    def density(self) -> DensityMatrix:
+        return werner_mix(self.psi, self.mu)
+
+
 def as_matrix(state) -> np.ndarray:
-    """Dense matrix of a DensityMatrix, PureState, or raw square array."""
+    """Dense matrix of a DensityMatrix, PureState, WernerState, or raw square
+    array."""
     if isinstance(state, DensityMatrix):
         return state.matrix
+    if isinstance(state, WernerState):
+        return state.density().matrix
     if isinstance(state, PureState):
         return np.outer(state.amplitudes, state.amplitudes.conj())
     m = np.asarray(state, dtype=complex)

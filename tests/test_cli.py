@@ -72,6 +72,20 @@ class TestSpinEnsemble:
             assert ra["cm_verdict"] == rb["cm_verdict"]
             assert float(ra["cm_eig_1"]) == pytest.approx(float(rb["cm_eig_1"]), abs=1e-9)
 
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_criteria_sweep_builds_no_dense_state(self, tmp_path, monkeypatch, rotate):
+        def refuse(*args, **kwargs):
+            raise AssertionError("werner_mix called by a cm,ds sweep")
+
+        monkeypatch.setattr("entcov.cli.werner_mix", refuse)
+        argv = ["spin-ensemble", "--m", "3", "--mu-min", "0.5", "--mu-steps", "2",
+                "--t-steps", "5", "--criteria", "cm,ds", "--out", str(tmp_path / "s.csv")]
+        if rotate:
+            argv += ["--rotate", "0", "1", "0", "-1", "0", "0", "0", "0", "1"]
+        assert main(argv) == 0
+        _, rows = read_rows(tmp_path / "s.csv")
+        assert len(rows) == 10
+
     def test_witness_cap_error(self, tmp_path):
         code = main(["spin-ensemble", "--m", "20", "--criteria", "ew",
                      "--t-steps", "2", "--out", str(tmp_path / "x.csv")])

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entcov.criterion import (
     ENTANGLED,
@@ -30,6 +32,7 @@ from entcov.observables import (
 from entcov.states import (
     DensityMatrix,
     PureState,
+    WernerState,
     bell_state,
     product_state,
     spin_coherent_x,
@@ -228,6 +231,50 @@ class TestCriterionMatrix:
         evaluator = CriterionEvaluator(pauli_product_set())
         with pytest.raises(ValueError, match="dimension"):
             evaluator.matrix(np.eye(9) / 9)
+        evaluator = CriterionEvaluator(collective_spin_set(2))
+        with pytest.raises(ValueError, match="dimension"):
+            evaluator.matrix(WernerState(spin_ensemble_state(3, 0.1), 0.5))
+
+    def test_werner_state_on_joint_set_takes_dense_route(self):
+        evaluator = CriterionEvaluator(pauli_product_set())
+        for mu in (0.0, 0.4, 1.0):
+            dense = evaluator.matrix(werner_mix(bell_state(), mu))
+            assert np.array_equal(evaluator.matrix(WernerState(bell_state(), mu)), dense)
+        assert np.array_equal(evaluator.matrix(bell_state()), evaluator.matrix(bell_state().density()))
+
+    def test_pure_state_is_werner_state_at_mu_one(self):
+        evaluator = CriterionEvaluator(collective_spin_set(4))
+        psi = spin_ensemble_state(4, 0.2)
+        assert np.array_equal(evaluator.matrix(psi), evaluator.matrix(WernerState(psi, 1.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 3), (3, 2)]),
+    n_a=st.integers(0, 3),
+    n_b=st.integers(0, 3),
+    mu=st.floats(0.0, 1.0),
+)
+def test_werner_route_matches_dense_route(seed, dims, n_a, n_b, mu):
+    # random complex Hermitian factors have no definite transpose parity, so
+    # the parity sign map of the correlation-data route cannot serve them
+    assume(n_a + n_b >= 1)
+    rng = np.random.default_rng(seed)
+    da, db = dims
+    members = [
+        Observable(f"a{i}", np.kron(oracles.random_hermitian(rng, da), np.eye(db)), "A")
+        for i in range(n_a)
+    ] + [
+        Observable(f"b{i}", np.kron(np.eye(da), oracles.random_hermitian(rng, db)), "B")
+        for i in range(n_b)
+    ]
+    order = rng.permutation(len(members))
+    evaluator = CriterionEvaluator(ObservableSet(tuple(members[i] for i in order), da, db))
+    psi = PureState(da, db, oracles.random_pure(rng, da * db))
+    fast = evaluator.matrix(WernerState(psi, mu))
+    dense = evaluator.matrix(werner_mix(psi, mu))
+    assert np.abs(fast - dense).max() <= 1e-12 * max(1.0, np.linalg.norm(dense, 2))
 
 
 class TestDetect:

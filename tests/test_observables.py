@@ -173,6 +173,35 @@ class TestValidation:
         with pytest.raises(ValueError, match="shape"):
             ObservableSet((a,), 2, 3)
 
+    def test_rejects_false_support_tag(self):
+        # on the Bell state this set gave eigenvalues [-2, 1, 2] by the dense
+        # route and [0, 0, 1] by the correlation-data route, with no error
+        members = (
+            Observable("ZZ", np.kron(oracles.SZ, oracles.SZ), "A"),
+            Observable("Z_A", np.kron(oracles.SZ, np.eye(2)), "A"),
+            Observable("XX", np.kron(oracles.SX, oracles.SX), "B"),
+        )
+        with pytest.raises(ValueError, match="'ZZ' is tagged 'A'.*I_B"):
+            ObservableSet(members, 2, 2)
+        with pytest.raises(ValueError, match="'XX' is tagged 'B'.*I_A"):
+            ObservableSet(members[1:], 2, 2)
+
+    def test_local_parity_checked_on_factor(self):
+        sy_b = Observable("Sy_B", np.kron(np.eye(3), oracles.SY), "B", 1)
+        with pytest.raises(ValueError, match="parity 1"):
+            ObservableSet((sy_b,), 3, 2)
+        sy_a = Observable("Sy_A", np.kron(oracles.SY, np.eye(3)), "A", -1)
+        with pytest.raises(ValueError, match="parity -1"):
+            ObservableSet((sy_a,), 2, 3)
+
+    def test_local_factors(self):
+        m = 3
+        obs_set = collective_spin_set(m)
+        spins = collective_spin_matrices(m)
+        for i, factor in enumerate(obs_set.local_factors):
+            assert np.array_equal(factor, spins[i % 3])
+        assert pauli_product_set().local_factors == (None, None, None)
+
     def test_every_generated_set_passes_own_invariants(self):
         # construction re-runs validation, so this is the self-check
         pauli_product_set()

@@ -11,6 +11,8 @@ from entcov.observables import collective_spin_matrices
 from entcov.states import (
     DensityMatrix,
     PureState,
+    WernerState,
+    as_matrix,
     bell_state,
     product_state,
     spin_coherent_x,
@@ -87,6 +89,16 @@ class TestWernerMix:
     def test_rejects_mu_out_of_range(self, mu):
         with pytest.raises(ValueError):
             werner_mix(bell_state(), mu)
+        with pytest.raises(ValueError, match="outside"):
+            WernerState(bell_state(), mu)
+
+    def test_werner_state_density_is_werner_mix(self, rng):
+        psi = PureState(2, 3, oracles.random_pure(rng, 6))
+        state = WernerState(psi, 0.3)
+        assert np.array_equal(state.density().matrix, werner_mix(psi, 0.3).matrix)
+        assert np.array_equal(as_matrix(state), werner_mix(psi, 0.3).matrix)
+        with pytest.raises(ValueError, match="PureState"):
+            WernerState(psi.density(), 0.3)
 
     def test_valid_density_matrix_for_random_inputs(self, rng):
         for _ in range(200):
