@@ -139,23 +139,26 @@ def run_werner_bell(cfg: SweepConfig) -> int:
     return EXIT_OK
 
 
-def _ew_task(task):
-    m, mu, t, params, seed = task
-    rho = werner_mix(spin_ensemble_state(m, t), mu)
-    result = witness_optimize(rho, m, params, seed)
-    return result.min_expectation, result.feasibility_residual
+def _require_witness_dim(m: int):
+    if (m + 1) ** 2 > EW_DIM_CAP:
+        raise ValueError(
+            f"witness runs are capped at joint dimension {EW_DIM_CAP} "
+            f"(m <= {int(np.sqrt(EW_DIM_CAP)) - 1}): the constrained annealing cost "
+            "grows with the Hilbert space dimension, not the operator count"
+        )
+
+
+def _witness_point(m: int, mu: float, t: float, params: AnnealParams, seed: int):
+    """Annealed witness on the Werner mixture of the evolved ensemble pair."""
+    return witness_optimize(werner_mix(spin_ensemble_state(m, t), mu), m, params, seed)
 
 
 def run_spin_ensemble(cfg: SweepConfig) -> int:
     """Criteria comparison over the (mu, t) grid of two evolved ensembles."""
     if cfg.m < 1:
         raise ValueError("ensemble size m must be >= 1")
-    if "ew" in cfg.criteria and (cfg.m + 1) ** 2 > EW_DIM_CAP:
-        raise ValueError(
-            f"witness runs are capped at joint dimension {EW_DIM_CAP} "
-            f"(m <= {int(np.sqrt(EW_DIM_CAP)) - 1}): the constrained annealing cost "
-            "grows with the Hilbert space dimension, not the operator count"
-        )
+    if "ew" in cfg.criteria:
+        _require_witness_dim(cfg.m)
     spin = collective_spin_set(cfg.m)
     if cfg.rotate is not None:
         spin = rotate_so3(spin, np.asarray(cfg.rotate, dtype=float).reshape(3, 3))
@@ -179,7 +182,7 @@ def run_spin_ensemble(cfg: SweepConfig) -> int:
 
     states = [spin_ensemble_state(cfg.m, t) for t in ts]
 
-    ew_values = {}
+    ew_results = []
     if "ew" in cfg.criteria:
         params = AnnealParams(
             t0=cfg.ew_t0, decay=cfg.ew_decay, sweeps=cfg.ew_sweeps, box_scale=cfg.ew_box
@@ -191,10 +194,9 @@ def run_spin_ensemble(cfg: SweepConfig) -> int:
                 tasks.append((cfg.m, float(mu), float(t), params, _point_seed(cfg.seed, index)))
         if cfg.jobs > 1:
             with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                results = list(pool.map(_ew_task, tasks))
+                ew_results = list(pool.map(_witness_point, *zip(*tasks)))
         else:
-            results = [_ew_task(t) for t in tasks]
-        ew_values = dict(zip(range(len(tasks)), results))
+            ew_results = [_witness_point(*task) for task in tasks]
 
     rows = []
     flags = {name: [] for name in ("cm", "ds")}
@@ -218,8 +220,8 @@ def run_spin_ensemble(cfg: SweepConfig) -> int:
             if "ppt" in cfg.criteria:
                 row += [_fmt(ppt_min_eigenvalue(werner_mix(states[i_t], mu)))]
             if "ew" in cfg.criteria:
-                value, residual = ew_values[i_mu * len(ts) + i_t]
-                row += [_fmt(value), _fmt(residual)]
+                result = ew_results[i_mu * len(ts) + i_t]
+                row += [_fmt(result.min_expectation), _fmt(result.feasibility_residual)]
             rows.append(row)
 
     comments = []
@@ -260,16 +262,11 @@ def run_uncertainty_suite(trials: int, max_n: int, seed: int) -> int:
 
 
 def run_witness(args) -> int:
-    if (args.m + 1) ** 2 > EW_DIM_CAP:
-        raise ValueError(
-            f"witness runs are capped at joint dimension {EW_DIM_CAP}: the "
-            "constrained annealing cost grows with the Hilbert space dimension"
-        )
+    _require_witness_dim(args.m)
     params = AnnealParams(
         t0=args.t0, decay=args.decay, sweeps=args.sweeps, box_scale=args.box
     )
-    rho = werner_mix(spin_ensemble_state(args.m, args.t), args.mu)
-    result = witness_optimize(rho, args.m, params, args.seed)
+    result = _witness_point(args.m, args.mu, args.t, params, args.seed)
     print(f"min_expectation: {_fmt(result.min_expectation)}")
     print(f"feasibility_residual: {_fmt(result.feasibility_residual)}")
     print(f"iterations: {result.iterations}")

@@ -1,21 +1,26 @@
 """Covariance and commutation matrices, the operator-level partial-transpose
 criterion matrix, and verdict reporting.
 
-CriterionEvaluator builds the criterion matrix by one of two routes, chosen
-from its inputs.  When every observable is local to A or to B and the state
-is a PureState or a WernerState (a Werner mixture of a pure state), it works
-on the (dim_a x dim_b) amplitude matrix Psi: an A-side factor a acts as
-a Psi and a B-side factor b as Psi b, which is the partially transposed
+One transpose rule underlies the local routes: PT_B reverses the order of
+two B-side operators, PT_B(xi_j xi_k) = PT_B(xi_k) PT_B(xi_j), so the
+entries of B-B pairs are read transposed (_transpose_b_pairs).
+
+CriterionEvaluator builds the matrix by one of two routes, chosen from its
+inputs.  When every observable is local to A or to B and the state is a
+PureState or a WernerState (a Werner mixture of a pure state), it works on
+the (dim_a x dim_b) amplitude matrix Psi: an A-side factor a acts as a Psi
+and a B-side factor b as Psi b, which is the partially transposed
 I_A (x) b^T acting on psi, so the N x N matrix costs O(N dim^3) and no
 D x D array is formed.  For a DensityMatrix or a raw array, and for sets
 with joint-support members such as the Pauli products, it transposes the
 operator products xi_j xi_k over subsystem B by index reshuffling and
 traces them against the dense state; those tables are built on the first
-such call.  criterion_matrix_pt_state averages the untransposed operators
-against the partially transposed state instead and serves as the test
-oracle for both.  A further route reconstructs the matrix from externally
+such call.
+
+criterion_matrix_from_data reconstructs the matrix from externally
 measured correlation data when every operator is locally supported with a
-definite transpose parity.
+definite transpose parity: the parities sign V and Omega, and the same
+rule as the amplitude route orders the B-B pairs.
 """
 
 from __future__ import annotations
@@ -59,11 +64,13 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.einsum("ab,ba->", a, b))
 
 
-def _second_moments(rho, mats) -> tuple[np.ndarray, np.ndarray]:
-    """Means Tr(rho xi_j) and moments e[j,k] = Tr(rho xi_j xi_k).
+def _moments(rho, mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means Tr(rho xi_j), covariance V and commutation Omega.
 
-    Only j <= k is evaluated; the mirror entries follow by conjugation,
-    which is exact for a Hermitian state and Hermitian operators.
+    Only j <= k of e[j,k] = Tr(rho xi_j xi_k) is evaluated; the mirror
+    entries follow by conjugation, which is exact for a Hermitian state and
+    Hermitian operators.  V = Re e - <xi_j><xi_k> is returned symmetrized
+    and Omega = 2 Im e antisymmetrized.
     """
     r = as_matrix(rho)
     n = len(mats)
@@ -78,20 +85,18 @@ def _second_moments(rho, mats) -> tuple[np.ndarray, np.ndarray]:
             val = _trace_product(r, mats[j] @ mats[k])
             e[j, k] = val
             e[k, j] = np.conj(val)
-    return means, e
+    v = e.real - np.outer(means, means)
+    omega = 2.0 * e.imag
+    return means, (v + v.T) / 2, (omega - omega.T) / 2
 
 
 def covariance_commutation(rho, observables) -> tuple[np.ndarray, np.ndarray]:
     """Covariance matrix V and commutation matrix Omega in one pass.
 
-    V[j,k] = <{xi_j, xi_k}>/2 - <xi_j><xi_k> is returned symmetrized and
-    Omega[j,k] = -i <[xi_j, xi_k]> antisymmetrized.
+    V[j,k] = <{xi_j, xi_k}>/2 - <xi_j><xi_k> and Omega[j,k] = -i <[xi_j, xi_k]>.
     """
-    mats = _operator_matrices(observables)
-    means, e = _second_moments(rho, mats)
-    v = e.real - np.outer(means, means)
-    omega = 2.0 * e.imag
-    return (v + v.T) / 2, (omega - omega.T) / 2
+    _, v, omega = _moments(rho, _operator_matrices(observables))
+    return v, omega
 
 
 def covariance_matrix(rho, observables) -> np.ndarray:
@@ -106,6 +111,12 @@ def uncertainty_matrix(rho, observables) -> np.ndarray:
     """V + (i/2) Omega: Hermitian and positive semidefinite for any state."""
     v, omega = covariance_commutation(rho, observables)
     return hermitize(v + 0.5j * omega)
+
+
+def _transpose_b_pairs(k: np.ndarray, on_b: np.ndarray) -> np.ndarray:
+    """The transpose rule: PT_B(xi_j xi_k) = PT_B(xi_k) PT_B(xi_j) when both
+    act on B, so entry (j,k) of such a pair takes the (k,j) value."""
+    return np.where(np.outer(on_b, on_b), k.T, k)
 
 
 class CriterionEvaluator:
@@ -134,7 +145,6 @@ class CriterionEvaluator:
         side_dims = np.where(on_b, obs_set.dim_b, obs_set.dim_a)
         self._factors = factors
         self._on_b = on_b
-        self._both_b = np.outer(on_b, on_b)
         self._trace_means = np.array([np.trace(f).real for f in factors]) / side_dims
         t = np.outer(self._trace_means, self._trace_means)
         for j in range(self._n):
@@ -185,7 +195,7 @@ class CriterionEvaluator:
             amp @ f if on_b else f @ amp for f, on_b in zip(self._factors, self._on_b)
         ]).reshape(self._n, -1)
         g = v.conj() @ v.T
-        g = np.where(self._both_b, g.T, g)
+        g = _transpose_b_pairs(g, self._on_b)
         mu = state.mu
         means = mu * (v @ psi.amplitudes.conj()).real + (1.0 - mu) * self._trace_means
         c = mu * g + (1.0 - mu) * self._mixed_moments - np.outer(means, means)
@@ -200,17 +210,6 @@ def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
     detect anything.
     """
     return CriterionEvaluator(obs_set).matrix(rho)
-
-
-def criterion_matrix_pt_state(rho, obs_set: ObservableSet) -> np.ndarray:
-    """Criterion matrix via the partially transposed state.
-
-    Averages the untransposed operators against PT_B(rho); equals
-    criterion_matrix entrywise and backs it as a test oracle.
-    """
-    r = as_matrix(rho)
-    sigma = partial_transpose(r, obs_set.dim_a, obs_set.dim_b, "B")
-    return uncertainty_matrix(sigma, obs_set)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,6 +278,11 @@ class CorrelationData:
                 raise DataValidationError(f"{name} has length {len(value)}, expected {n}")
         if self.means.shape != (n,):
             raise DataValidationError(f"means has shape {self.means.shape}, expected ({n},)")
+        if not np.isfinite(self.means).all():
+            raise DataValidationError("means contains NaN or Inf entries")
+        duplicates = sorted({x for x in self.labels if self.labels.count(x) > 1})
+        if duplicates:
+            raise DataValidationError(f"duplicate labels {', '.join(map(repr, duplicates))}")
         for tag in self.partition:
             if tag not in (SUPPORT_A, SUPPORT_B):
                 raise DataValidationError(f"partition tag {tag!r} must be 'A' or 'B'")
@@ -340,46 +344,32 @@ def correlation_data_from_state(rho, obs_set: ObservableSet) -> CorrelationData:
                 f"observable {o.label!r} is not locally supported with a definite "
                 "transpose parity; it cannot enter the data-driven path"
             )
-    mats = obs_set.matrices()
-    means, e = _second_moments(rho, mats)
-    v = e.real - np.outer(means, means)
-    omega = 2.0 * e.imag
+    means, v, omega = _moments(rho, obs_set.matrices())
     return CorrelationData(
         labels=obs_set.labels,
         partition=tuple(o.support for o in obs_set),
         pt_parity=tuple(o.pt_parity for o in obs_set),
         means=means,
-        v=(v + v.T) / 2,
-        omega=(omega - omega.T) / 2,
+        v=v,
+        omega=omega,
     )
 
 
 def criterion_matrix_from_data(data: CorrelationData) -> np.ndarray:
     """Reconstruct the criterion matrix from measured correlators alone.
 
-    For locally supported operators with transpose parity s_j the partial
-    transpose acts on the measured quantities directly: entries with both
-    operators on A are V + (i/2) Omega; cross terms reduce to the covariance
-    scaled by the B-side parity (the commutator vanishes across the
-    partition); entries with both operators on B reverse the operator order,
-    giving s_j s_k (V - (i/2) Omega).  Parity signs on the means cancel
+    For locally supported operators with transpose parity s_j, PT_B maps a
+    B-side operator to s_j times itself and leaves an A-side one alone (its
+    parity tag is not read), so the sign map gives
+    K = s s^T (V + (i/2) Omega) with Omega zeroed across the partition.
+    The transpose rule then reads each B-B pair transposed, as
+    PT_B(xi_j xi_k) = s_j s_k xi_k xi_j.  Parity signs on the means cancel
     inside the covariance, so the means never enter explicitly.
     """
     data.validate()
-    n = data.n
-    c = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            v = data.v[j, k]
-            half_omega = 0.5j * data.omega[j, k]
-            pj, pk = data.partition[j], data.partition[k]
-            sj, sk = data.pt_parity[j], data.pt_parity[k]
-            if pj == SUPPORT_A and pk == SUPPORT_A:
-                c[j, k] = v + half_omega
-            elif pj == SUPPORT_B and pk == SUPPORT_B:
-                c[j, k] = sj * sk * (v - half_omega)
-            elif pj == SUPPORT_A:
-                c[j, k] = sk * v
-            else:
-                c[j, k] = sj * v
-    return hermitize(c)
+    on_b = np.array(data.partition) == SUPPORT_B
+    s = np.where(on_b, data.pt_parity, 1)
+    same_side = on_b[:, None] == on_b[None, :]
+    sign = np.outer(s, s)
+    k = sign * data.v + 0.5j * (sign * np.where(same_side, data.omega, 0.0))
+    return hermitize(_transpose_b_pairs(k, on_b))

@@ -85,10 +85,15 @@ def hermitian_eigenvalues(m, tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray
     return np.linalg.eigvalsh(require_hermitian(m, tol))
 
 
+def clip_psd(m: np.ndarray) -> np.ndarray:
+    """Eigenvalue clip v max(w, 0) v† of a Hermitian matrix, unchecked."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
+
+
 def psd_project(m, tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
     """Nearest positive-semidefinite matrix in Frobenius norm (eigenvalue clip)."""
-    w, v = np.linalg.eigh(require_hermitian(m, tol))
-    return hermitize((v * np.maximum(w, 0.0)) @ v.conj().T)
+    return hermitize(clip_psd(require_hermitian(m, tol)))
 
 
 def hermitian_determinant(m, tol: float = DEFAULT_HERMITICITY_TOL) -> float:

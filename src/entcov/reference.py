@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import CriterionReport, DEFAULT_VERDICT_TOL, criterion_matrix, detect
-from .linalg import hermitize, kron, partial_transpose
+from .linalg import clip_psd, hermitize, kron, partial_transpose
 from .observables import ObservableSet, collective_spin_matrices, hp_quadrature_set
 from .states import DensityMatrix, as_matrix
 
@@ -78,11 +78,6 @@ class WitnessResult:
     iterations: int
 
 
-def _clip_psd(x: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(x)
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
-
-
 def _negative_part_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(x), 0.0)))
 
@@ -135,7 +130,7 @@ def decomposable_split(
                 return True, max(neg_p, neg_q), p
         clipped = (evecs * np.maximum(evals, 0.0)) @ evecs.conj().T
         y = _pt_a(w - clipped, d)
-        p_next = w - _pt_a(_clip_psd(y), d)
+        p_next = w - _pt_a(clip_psd(y), d)
         move = float(np.linalg.norm(p_next - p))
         p = hermitize(p_next)
         if move <= tol:

@@ -7,6 +7,8 @@ eigenvalues.  For the uncertainty matrix these invariants collect the
 k-operator uncertainty residuals: order 1 sums the variances, order 2 sums
 the pairwise residuals, and for three operators the determinant is the
 triple residual itself.  All of them are nonnegative for valid states.
+Every residual here is a principal minor of the uncertainty matrix built
+by criterion.covariance_commutation, for pure and mixed states alike.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import numpy as np
 
 from .criterion import covariance_commutation, uncertainty_matrix
 from .linalg import hermitian_eigenvalues
-from .states import PureState, as_matrix
 
-PURITY_TOL = 1e-10
 RESIDUAL_FLOOR = -1e-9
 
 
@@ -39,49 +39,15 @@ def schrodinger_I2(rho, op1, op2) -> float:
     return float(v[0, 0] * v[1, 1] - v[0, 1] ** 2 - (omega[0, 1] / 2.0) ** 2)
 
 
-def _gram_vectors(psi: np.ndarray, mats) -> np.ndarray:
-    """Columns f_i = (xi_i - <xi_i>) |psi>."""
-    cols = []
-    for x in mats:
-        mean = np.vdot(psi, x @ psi).real
-        cols.append(x @ psi - mean * psi)
-    return np.array(cols).T
-
-
-def _gram_triple_residual(g: np.ndarray) -> float:
-    """Determinant of a 3x3 Hermitian Gram matrix, written out in the
-    overlap terms of the three-operator uncertainty bound."""
-    return float(
-        (g[0, 0] * g[1, 1] * g[2, 2]).real
-        - (g[0, 0] * abs(g[1, 2]) ** 2).real
-        - (g[1, 1] * abs(g[0, 2]) ** 2).real
-        - (g[2, 2] * abs(g[0, 1]) ** 2).real
-        + 2.0 * (g[0, 1] * g[1, 2] * g[2, 0]).real
-    )
-
-
 def schrodinger_I3(rho, op1, op2, op3) -> float:
-    """Three-operator residual.
+    """Three-operator residual: the determinant of the 3x3 uncertainty
+    matrix, for pure and mixed states alike.
 
-    Pure states go through the explicit overlap vectors f_i; mixed states
-    use the determinant of the 3x3 uncertainty matrix.  The two paths agree
-    on pure states, where the uncertainty matrix is the Gram matrix of the
-    f_i.
+    On a pure state the uncertainty matrix is the Gram matrix of the overlap
+    vectors (xi_i - <xi_i>)|psi>, so this is the overlap form of the
+    three-operator bound written as one determinant.
     """
-    ops = [np.asarray(op, dtype=complex) for op in (op1, op2, op3)]
-    if isinstance(rho, PureState):
-        psi = rho.amplitudes
-    else:
-        r = as_matrix(rho)
-        purity = float(np.einsum("ab,ba->", r, r).real)
-        if abs(purity - 1.0) <= PURITY_TOL:
-            w, vecs = np.linalg.eigh((r + r.conj().T) / 2)
-            psi = vecs[:, -1]
-        else:
-            u = uncertainty_matrix(r, ops)
-            return float(np.linalg.det(u).real)
-    f = _gram_vectors(psi, ops)
-    return _gram_triple_residual(f.conj().T @ f)
+    return float(np.linalg.det(uncertainty_matrix(rho, [op1, op2, op3])).real)
 
 
 def invariant_decomposition(m, k: int) -> float:

@@ -59,6 +59,62 @@ def expectation(rho, op):
     return np.trace(rho @ op)
 
 
+def criterion_matrix_pt_state(rho, obs_set):
+    """Criterion matrix averaged against the partially transposed state.
+
+    Entry (j,k) is Tr[PT_B(rho) xi_j xi_k] - Tr[PT_B(rho) xi_j] Tr[PT_B(rho) xi_k]
+    with the untransposed operators.  rho is a density-matrix object with a
+    .matrix or a raw array; obs_set provides matrices(), dim_a and dim_b.
+    """
+    m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    sigma = partial_transpose_loops(m, obs_set.dim_a, obs_set.dim_b, "B")
+    mats = obs_set.matrices()
+    n = len(mats)
+    out = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            out[j, k] = (
+                expectation(sigma, mats[j] @ mats[k])
+                - expectation(sigma, mats[j]) * expectation(sigma, mats[k])
+            )
+    return out
+
+
+def criterion_matrix_from_data_loops(partition, pt_parity, v, omega):
+    """Criterion matrix of a correlation record, case by case on the
+    partition tags "A"/"B": A-A pairs give V + (i/2) Omega, B-B pairs
+    s_j s_k (V - (i/2) Omega), and mixed pairs the B-side parity times V."""
+    n = len(partition)
+    c = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            half_omega = 0.5j * omega[j, k]
+            if partition[j] == "A" and partition[k] == "A":
+                c[j, k] = v[j, k] + half_omega
+            elif partition[j] == "B" and partition[k] == "B":
+                c[j, k] = pt_parity[j] * pt_parity[k] * (v[j, k] - half_omega)
+            elif partition[j] == "A":
+                c[j, k] = pt_parity[k] * v[j, k]
+            else:
+                c[j, k] = pt_parity[j] * v[j, k]
+    return (c + c.conj().T) / 2
+
+
+def triple_residual_overlap(psi, mats):
+    """Three-operator residual of a pure state from the overlap vectors
+    f_i = (xi_i - <xi_i>)|psi>, the determinant of their Gram matrix
+    written out term by term."""
+    f = [x @ psi - np.vdot(psi, x @ psi).real * psi for x in mats]
+    g = [[np.vdot(f[i], f[j]) for j in range(3)] for i in range(3)]
+    return (
+        g[0][0] * g[1][1] * g[2][2]
+        - g[0][0] * abs(g[1][2]) ** 2
+        - g[1][1] * abs(g[0][2]) ** 2
+        - g[2][2] * abs(g[0][1]) ** 2
+        + 2.0 * (g[0][1] * g[1][2] * g[2][0])
+    ).real
+
+
 def covariance_entry(rho, x, y):
     anti = 0.5 * np.trace(rho @ (x @ y + y @ x))
     return (anti - np.trace(rho @ x) * np.trace(rho @ y)).real

@@ -139,6 +139,21 @@ class TestFromData:
         path.write_text(json.dumps(payload))
         assert main(["from-data", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value", [("means", [float("nan"), 0.0]), ("labels", ["a", "a"])]
+    )
+    def test_invalid_record_rejected_by_name(self, tmp_path, capsys, field, value):
+        payload = {
+            "labels": ["a", "b"], "partition": ["A", "B"], "pt_parity": [1, 1],
+            "means": [0.0, 0.0], "V": [[1.0, 0.0], [0.0, 1.0]],
+            "Omega": [[0.0, 0.0], [0.0, 0.0]],
+        }
+        payload[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["from-data", "--input", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json {")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from entcov.criterion import (
     covariance_matrix,
     criterion_matrix,
     criterion_matrix_from_data,
-    criterion_matrix_pt_state,
     detect,
     uncertainty_matrix,
 )
@@ -41,6 +41,7 @@ from entcov.states import (
 )
 
 import oracles
+from oracles import criterion_matrix_pt_state
 
 
 def maximally_mixed(da, db):
@@ -277,6 +278,51 @@ def test_werner_route_matches_dense_route(seed, dims, n_a, n_b, mu):
     assert np.abs(fast - dense).max() <= 1e-12 * max(1.0, np.linalg.norm(dense, 2))
 
 
+def _definite_parity_factor(rng, dim, odd):
+    """Real symmetric (transpose parity +1) or purely imaginary
+    antisymmetric (parity -1) Hermitian factor."""
+    g = rng.standard_normal((dim, dim))
+    return 1j * (g - g.T) / 2 if odd else (g + g.T) / 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 3), (3, 2)]),
+    n_a=st.integers(0, 3),
+    n_b=st.integers(0, 3),
+    mu=st.floats(0.0, 1.0),
+)
+def test_data_route_matches_evaluator_routes(seed, dims, n_a, n_b, mu):
+    # PT_B leaves A-side factors alone, so every A member has parity +1
+    # whether its factor is real symmetric or imaginary antisymmetric
+    assume(n_a + n_b >= 1)
+    rng = np.random.default_rng(seed)
+    da, db = dims
+    members = []
+    for i in range(n_a):
+        a = _definite_parity_factor(rng, da, rng.random() < 0.5)
+        members.append(Observable(f"a{i}", np.kron(a, np.eye(db)), "A", 1))
+    for i in range(n_b):
+        odd = bool(rng.random() < 0.5)
+        b = _definite_parity_factor(rng, db, odd)
+        members.append(Observable(f"b{i}", np.kron(np.eye(da), b), "B", -1 if odd else 1))
+    order = rng.permutation(len(members))
+    obs_set = ObservableSet(tuple(members[i] for i in order), da, db)
+    evaluator = CriterionEvaluator(obs_set)
+    psi = PureState(da, db, oracles.random_pure(rng, da * db))
+    rho = werner_mix(psi, mu)
+    data = correlation_data_from_state(rho, obs_set)
+    from_data = criterion_matrix_from_data(data)
+    loops = oracles.criterion_matrix_from_data_loops(
+        data.partition, data.pt_parity, data.v, data.omega
+    )
+    assert from_data.tobytes() == loops.tobytes()  # bit for bit, signed zeros included
+    for state in (WernerState(psi, mu), rho):
+        c = evaluator.matrix(state)
+        assert np.abs(from_data - c).max() <= 1e-12 * max(1.0, np.linalg.norm(c, 2))
+
+
 class TestDetect:
     def test_identity_undetected(self):
         report = detect(np.eye(6))
@@ -387,6 +433,40 @@ class TestCorrelationDataPath:
             omega=np.array([[0.0, 0.5], [-0.5, 0.0]]),
         )
         with pytest.raises(DataValidationError, match="partition"):
+            data.validate()
+
+    def test_a_side_parity_is_ignored(self):
+        _, _, data = self.build_data()
+        flipped = replace(data, pt_parity=tuple(
+            -1 if tag == "A" else s for tag, s in zip(data.partition, data.pt_parity)
+        ))
+        assert np.array_equal(
+            criterion_matrix_from_data(flipped), criterion_matrix_from_data(data)
+        )
+
+    def test_nonfinite_means_rejected(self):
+        for bad in (np.nan, np.inf):
+            data = CorrelationData(
+                labels=("a", "b"),
+                partition=("A", "B"),
+                pt_parity=(1, 1),
+                means=np.array([bad, 0.0]),
+                v=np.eye(2),
+                omega=np.zeros((2, 2)),
+            )
+            with pytest.raises(DataValidationError, match="means contains NaN or Inf"):
+                data.validate()
+
+    def test_duplicate_labels_rejected(self):
+        data = CorrelationData(
+            labels=("a", "a", "b"),
+            partition=("A", "A", "B"),
+            pt_parity=(1, 1, 1),
+            means=np.zeros(3),
+            v=np.eye(3),
+            omega=np.zeros((3, 3)),
+        )
+        with pytest.raises(DataValidationError, match="duplicate labels 'a'"):
             data.validate()
 
     def test_missing_field_rejected(self):

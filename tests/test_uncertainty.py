@@ -64,9 +64,8 @@ class TestSchrodingerI3:
             psi = oracles.random_pure(rng, dim)
             mats = [oracles.random_hermitian(rng, dim) for _ in range(3)]
             rho = np.outer(psi, psi.conj())
-            via_vectors = schrodinger_I3(rho, *mats)
-            det = np.linalg.det(uncertainty_matrix(rho, mats)).real
-            assert via_vectors == pytest.approx(det, abs=1e-9)
+            via_vectors = oracles.triple_residual_overlap(psi, mats)
+            assert schrodinger_I3(rho, *mats) == pytest.approx(via_vectors, abs=1e-9)
 
     def test_accepts_pure_state_object(self):
         psi = bell_state()
