@@ -43,41 +43,55 @@ EW_DIM_CAP = 36
 CRITERIA = ("cm", "ds", "ppt", "ew")
 
 
+def _check_grid(name: str, grid: tuple[float, float, int]):
+    lo, hi, steps = grid
+    if steps < 1:
+        raise ValueError(f"{name} grid needs at least 1 step")
+    if lo > hi:
+        raise ValueError(f"{name} grid has min {lo} > max {hi}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything a sweep run depends on; embedded verbatim in the CSV."""
+    """Everything a mu sweep depends on; embedded verbatim in the CSV."""
 
     experiment: str
-    m: int
     mu_grid: tuple[float, float, int]
-    t_grid: tuple[float, float, int]
-    criteria: tuple[str, ...]
     tolerance: float
-    seed: int
     out: str | None
-    rotate: tuple[float, ...] | None = None
-    jobs: int = 1
-    ew_sweeps: int = 300
-    ew_t0: float = 1.0
-    ew_decay: float = 0.98
-    ew_box: float = 10.0
 
     def __post_init__(self):
-        for name, (lo, hi, steps) in (("mu", self.mu_grid), ("t", self.t_grid)):
-            if steps < 1:
-                raise ValueError(f"{name} grid needs at least 1 step")
-            if lo > hi:
-                raise ValueError(f"{name} grid has min {lo} > max {hi}")
+        _check_grid("mu", self.mu_grid)
         lo, hi, _ = self.mu_grid
         if lo < 0.0 or hi > 1.0:
             raise ValueError("mu grid must stay inside [0, 1]")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
+
+
+@dataclass(frozen=True)
+class EnsembleConfig(SweepConfig):
+    """A (mu, t) sweep of two spin ensembles, its criteria and witness settings."""
+
+    m: int
+    t_grid: tuple[float, float, int]
+    criteria: tuple[str, ...]
+    seed: int
+    rotate: tuple[float, ...] | None
+    jobs: int
+    ew_sweeps: int
+    ew_t0: float
+    ew_decay: float
+    ew_box: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_grid("t", self.t_grid)
         for c in self.criteria:
             if c not in CRITERIA:
                 raise ValueError(f"unknown criterion {c!r}; choose from {','.join(CRITERIA)}")
         if not self.criteria:
             raise ValueError("at least one criterion is required")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -153,7 +167,7 @@ def _witness_point(m: int, mu: float, t: float, params: AnnealParams, seed: int)
     return witness_optimize(werner_mix(spin_ensemble_state(m, t), mu), m, params, seed)
 
 
-def run_spin_ensemble(cfg: SweepConfig) -> int:
+def run_spin_ensemble(cfg: EnsembleConfig) -> int:
     """Criteria comparison over the (mu, t) grid of two evolved ensembles."""
     if cfg.m < 1:
         raise ValueError("ensemble size m must be >= 1")
@@ -294,22 +308,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sweep_config(args, experiment: str) -> SweepConfig:
-    return SweepConfig(
-        experiment=experiment,
-        m=getattr(args, "m", 0),
-        mu_grid=(args.mu_min, args.mu_max, args.mu_steps),
-        t_grid=(getattr(args, "t_min", 0.0), getattr(args, "t_max", 0.0),
-                getattr(args, "t_steps", 1)),
-        criteria=tuple(getattr(args, "criteria", "cm").split(",")),
-        tolerance=args.tol,
-        seed=getattr(args, "seed", 0),
-        out=args.out,
-        rotate=tuple(args.rotate) if getattr(args, "rotate", None) else None,
-        jobs=getattr(args, "jobs", 1),
-        ew_sweeps=getattr(args, "ew_sweeps", 300),
-        ew_t0=getattr(args, "ew_t0", 1.0),
-        ew_decay=getattr(args, "ew_decay", 0.98),
-        ew_box=getattr(args, "ew_box", 10.0),
+    return SweepConfig(experiment, (args.mu_min, args.mu_max, args.mu_steps), args.tol, args.out)
+
+
+def _ensemble_config(args) -> EnsembleConfig:
+    return EnsembleConfig(
+        **asdict(_sweep_config(args, "SPIN_ENSEMBLE")), m=args.m,
+        t_grid=(args.t_min, args.t_max, args.t_steps), criteria=tuple(args.criteria.split(",")),
+        seed=args.seed, rotate=tuple(args.rotate) if args.rotate else None, jobs=args.jobs,
+        ew_sweeps=args.ew_sweeps, ew_t0=args.ew_t0, ew_decay=args.ew_decay, ew_box=args.ew_box,
     )
 
 
@@ -347,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ew-decay", type=float, default=0.98, help="witness temperature decay")
     p.add_argument("--ew-box", type=float, default=10.0, help="witness coefficient box scale")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    p.set_defaults(func=lambda a: run_spin_ensemble(_sweep_config(a, "SPIN_ENSEMBLE")))
+    p.set_defaults(func=lambda a: run_spin_ensemble(_ensemble_config(a)))
 
     p = sub.add_parser("from-data", help="verdict for a measured correlation file")
     p.add_argument("--input", required=True, help="JSON correlation record")

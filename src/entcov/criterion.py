@@ -5,17 +5,15 @@ One transpose rule underlies the local routes: PT_B reverses the order of
 two B-side operators, PT_B(xi_j xi_k) = PT_B(xi_k) PT_B(xi_j), so the
 entries of B-B pairs are read transposed (_transpose_b_pairs).
 
-CriterionEvaluator builds the matrix by one of two routes, chosen from its
-inputs.  When every observable is local to A or to B and the state is a
-PureState or a WernerState (a Werner mixture of a pure state), it works on
-the (dim_a x dim_b) amplitude matrix Psi: an A-side factor a acts as a Psi
-and a B-side factor b as Psi b, which is the partially transposed
-I_A (x) b^T acting on psi, so the N x N matrix costs O(N dim^3) and no
-D x D array is formed.  For a DensityMatrix or a raw array, and for sets
-with joint-support members such as the Pauli products, it transposes the
-operator products xi_j xi_k over subsystem B by index reshuffling and
-traces them against the dense state; those tables are built on the first
-such call.
+Moments and criterion matrices share one amplitude route, taken when every
+member of an ObservableSet is local to A or to B and the state is a
+PureState or a WernerState (a Werner mixture of a pure state).  On the
+(dim_a x dim_b) amplitude matrix Psi, I_A (x) b acts as Psi b^T, so the
+moments read a Psi and Psi b^T; the criterion matrix reads Psi b, the
+partially transposed I_A (x) b^T.  It costs O(N dim^3) and forms no D x D
+array.  Otherwise the joint matrices (ObservableSet.matrices() or raw
+arrays) are traced against the dense state, and the criterion matrix
+transposes their products over B in tables built on the first such call.
 
 criterion_matrix_from_data reconstructs the matrix from externally
 measured correlation data when every operator is locally supported with a
@@ -31,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import DEFAULT_HERMITICITY_TOL, hermitian_eigenvalues, hermitize, partial_transpose
-from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet
+from .observables import SUPPORT_A, SUPPORT_B, SUPPORT_JOINT, Observable, ObservableSet
 from .states import PureState, WernerState, as_matrix
 
 DEFAULT_VERDICT_TOL = 1e-9
@@ -46,12 +44,14 @@ class DataValidationError(ValueError):
 
 
 def _operator_matrices(observables) -> list[np.ndarray]:
-    """Accept an ObservableSet, Observables, or raw arrays."""
+    """Joint matrices of an ObservableSet, or a list of raw square arrays."""
     if isinstance(observables, ObservableSet):
         return observables.matrices()
     mats = []
     for o in observables:
-        m = o.matrix if isinstance(o, Observable) else np.asarray(o, dtype=complex)
+        if isinstance(o, Observable):
+            raise ValueError(f"observable {o.label!r} needs an ObservableSet to embed it")
+        m = np.asarray(o, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("observables must be square matrices")
         mats.append(m)
@@ -64,27 +64,35 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.einsum("ab,ba->", a, b))
 
 
-def _moments(rho, mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Means Tr(rho xi_j), covariance V and commutation Omega.
+def _moments(rho, observables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means, covariance V and commutation Omega from e[j,k] = Tr(rho xi_j xi_k).
 
-    Only j <= k of e[j,k] = Tr(rho xi_j xi_k) is evaluated; the mirror
-    entries follow by conjugation, which is exact for a Hermitian state and
-    Hermitian operators.  V = Re e - <xi_j><xi_k> is returned symmetrized
-    and Omega = 2 Im e antisymmetrized.
+    A local ObservableSet on a PureState or WernerState takes the amplitude
+    route with every B factor transposed.  Otherwise only j <= k of e is
+    traced against the dense state; the mirror entries follow by
+    conjugation, exact for a Hermitian state and Hermitian operators.
+    V = Re e - <xi_j><xi_k> is returned symmetrized, Omega = 2 Im e
+    antisymmetrized.
     """
-    r = as_matrix(rho)
-    n = len(mats)
-    if mats[0].shape != r.shape:
-        raise ValueError(
-            f"state dimension {r.shape[0]} does not match operators {mats[0].shape[0]}"
-        )
-    means = np.array([_trace_product(r, x).real for x in mats])
-    e = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(j, n):
-            val = _trace_product(r, mats[j] @ mats[k])
-            e[j, k] = val
-            e[k, j] = np.conj(val)
+    if (isinstance(rho, (PureState, WernerState)) and isinstance(observables, ObservableSet)
+            and all(o.support != SUPPORT_JOINT for o in observables)):
+        factors = [o.matrix.T if o.support == SUPPORT_B else o.matrix for o in observables]
+        means, e = CriterionEvaluator(observables)._amplitude_moments(rho, factors)
+    else:
+        mats = _operator_matrices(observables)
+        r = as_matrix(rho)
+        n = len(mats)
+        if mats[0].shape != r.shape:
+            raise ValueError(
+                f"state dimension {r.shape[0]} does not match operators {mats[0].shape[0]}"
+            )
+        means = np.array([_trace_product(r, x).real for x in mats])
+        e = np.zeros((n, n), dtype=complex)
+        for j in range(n):
+            for k in range(j, n):
+                val = _trace_product(r, mats[j] @ mats[k])
+                e[j, k] = val
+                e[k, j] = np.conj(val)
     v = e.real - np.outer(means, means)
     omega = 2.0 * e.imag
     return means, (v + v.T) / 2, (omega - omega.T) / 2
@@ -95,7 +103,7 @@ def covariance_commutation(rho, observables) -> tuple[np.ndarray, np.ndarray]:
 
     V[j,k] = <{xi_j, xi_k}>/2 - <xi_j><xi_k> and Omega[j,k] = -i <[xi_j, xi_k]>.
     """
-    _, v, omega = _moments(rho, _operator_matrices(observables))
+    _, v, omega = _moments(rho, observables)
     return v, omega
 
 
@@ -125,22 +133,23 @@ class CriterionEvaluator:
     Entry (j,k) is
     Tr[rho PT_B(xi_j xi_k)] - Tr[rho PT_B(xi_j)] Tr[rho PT_B(xi_k)].
     For a Werner mixture rho = mu |psi><psi| + (1-mu) I/D of a pure state on
-    local observables it equals mu G + (1-mu) T - m m^T, where
-    G[j,k] = <v_j|v_k> (<v_k|v_j> when both act on B) over the vectors
-    v_j = a_j Psi or Psi b_j, T[j,k] = Tr(xi_j xi_k)/D, and
+    local observables it equals E - m m^T with the B-B pairs of E read
+    transposed, where E = mu G + (1-mu) T, G[j,k] = <v_j|v_k> over the
+    vectors v_j = a_j Psi or Psi b_j, T[j,k] = Tr(xi_j xi_k)/D, and
     m_j = mu Re<psi|v_j> + (1-mu) Tr(xi_j)/D.  T and Tr(xi_j)/D depend on
-    the observables alone and are computed here.  Dense states use the
-    partially transposed operator products instead, built on first use.
+    the observables alone and are computed here; b^T in place of b leaves
+    both unchanged.  Dense states use the partially transposed operator
+    products instead, built on first use.
     """
 
     def __init__(self, obs_set: ObservableSet):
         self.obs_set = obs_set
         self._n = len(obs_set)
         self._dim = obs_set.dim_a * obs_set.dim_b
-        factors = obs_set.local_factors
-        self._local = all(f is not None for f in factors)
+        self._local = all(o.support != SUPPORT_JOINT for o in obs_set)
         if not self._local:
             return
+        factors = [o.matrix for o in obs_set]
         on_b = np.array([o.support == SUPPORT_B for o in obs_set])
         side_dims = np.where(on_b, obs_set.dim_b, obs_set.dim_a)
         self._factors = factors
@@ -148,9 +157,10 @@ class CriterionEvaluator:
         self._trace_means = np.array([np.trace(f).real for f in factors]) / side_dims
         t = np.outer(self._trace_means, self._trace_means)
         for j in range(self._n):
-            for k in range(self._n):
+            for k in range(j, self._n):
                 if on_b[j] == on_b[k]:
-                    t[j, k] = np.einsum("ab,ba->", factors[j], factors[k]).real / side_dims[j]
+                    tr = np.einsum("ab,ba->", factors[j], factors[k]).real / side_dims[j]
+                    t[j, k] = t[k, j] = tr
         self._mixed_moments = t
 
     @cached_property
@@ -165,10 +175,9 @@ class CriterionEvaluator:
         return pairs, singles, products
 
     def matrix(self, rho) -> np.ndarray:
-        if isinstance(rho, PureState):
-            rho = WernerState(rho, 1.0)
-        if isinstance(rho, WernerState) and self._local:
-            return self._werner_matrix(rho)
+        if isinstance(rho, (PureState, WernerState)) and self._local:
+            means, e = self._amplitude_moments(rho, self._factors)
+            return hermitize(_transpose_b_pairs(e, self._on_b) - np.outer(means, means))
         r = as_matrix(rho)
         if r.shape[0] != self._dim:
             raise ValueError(
@@ -183,7 +192,11 @@ class CriterionEvaluator:
             c[k, j] = np.conj(c[j, k])
         return hermitize(c)
 
-    def _werner_matrix(self, state: WernerState) -> np.ndarray:
+    def _amplitude_moments(self, state, factors) -> tuple[np.ndarray, np.ndarray]:
+        """Means m and E = mu G + (1-mu) T over v_j = a_j Psi or Psi f_j: the
+        criterion matrix passes f = b, the raw moments f = b^T."""
+        if isinstance(state, PureState):
+            state = WernerState(state, 1.0)
         psi = state.psi
         if (psi.dim_a, psi.dim_b) != (self.obs_set.dim_a, self.obs_set.dim_b):
             raise ValueError(
@@ -192,14 +205,11 @@ class CriterionEvaluator:
             )
         amp = psi.amplitudes.reshape(psi.dim_a, psi.dim_b)
         v = np.stack([
-            amp @ f if on_b else f @ amp for f, on_b in zip(self._factors, self._on_b)
+            amp @ f if on_b else f @ amp for f, on_b in zip(factors, self._on_b)
         ]).reshape(self._n, -1)
-        g = v.conj() @ v.T
-        g = _transpose_b_pairs(g, self._on_b)
         mu = state.mu
         means = mu * (v @ psi.amplitudes.conj()).real + (1.0 - mu) * self._trace_means
-        c = mu * g + (1.0 - mu) * self._mixed_moments - np.outer(means, means)
-        return hermitize(c)
+        return means, mu * (v.conj() @ v.T) + (1.0 - mu) * self._mixed_moments
 
 
 def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
@@ -344,7 +354,7 @@ def correlation_data_from_state(rho, obs_set: ObservableSet) -> CorrelationData:
                 f"observable {o.label!r} is not locally supported with a definite "
                 "transpose parity; it cannot enter the data-driven path"
             )
-    means, v, omega = _moments(rho, obs_set.matrices())
+    means, v, omega = _moments(rho, obs_set)
     return CorrelationData(
         labels=obs_set.labels,
         partition=tuple(o.support for o in obs_set),

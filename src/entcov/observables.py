@@ -6,14 +6,15 @@ imaginary for S^y, so the transpose over one subsystem acts on the
 generated operators as an exact sign: +1 for S^x, S^z and -1 for S^y.
 That sign is recorded as pt_parity on each observable.
 
-An observable tagged "A" must be a (x) I_B and one tagged "B" must be
-I_A (x) b; ObservableSet checks the tag and keeps the local factor a or b,
-which is all the pure-state criterion route reads.
+An observable tagged "A" or "B" stores its local factor a or b, a
+dim_a x dim_a or dim_b x dim_b matrix; one tagged "JOINT" stores the full
+joint matrix.  ObservableSet.matrices() is the one place that forms the
+joint a (x) I_B or I_A (x) b, for the dense routes only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +26,6 @@ SUPPORT_JOINT = "JOINT"
 
 OBS_HERMITICITY_TOL = 1e-10
 PT_PARITY_TOL = 1e-10
-SUPPORT_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -35,10 +35,12 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian operator on the joint space with support and parity tags.
+    """Hermitian operator with support and parity tags.
 
-    pt_parity, when set, asserts that the partial transpose over B maps the
-    matrix to pt_parity times itself; ObservableSet verifies the claim.
+    matrix is the local factor for support "A" or "B" and the joint-space
+    matrix for "JOINT".  pt_parity, when set, asserts that the partial
+    transpose over B maps the joint operator to pt_parity times itself;
+    ObservableSet verifies the claim.
     """
 
     label: str
@@ -57,73 +59,38 @@ class Observable:
         object.__setattr__(self, "matrix", m)
 
 
-def _local_factor(o: Observable, dim_a: int, dim_b: int, scale: float) -> np.ndarray:
-    """The factor a of a (x) I_B (tag "A") or b of I_A (x) b (tag "B").
-
-    The factor is the normalized partial trace over the other side; the tag
-    is rejected when the matrix differs from the factor tensored with the
-    identity by more than SUPPORT_TOL relative to its norm.
-    """
-    t = o.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-    if o.support == SUPPORT_A:
-        factor = np.einsum("ibjb->ij", t) / dim_b
-        rebuilt = np.kron(factor, np.eye(dim_b))
-    else:
-        factor = np.einsum("iaib->ab", t) / dim_a
-        rebuilt = np.kron(np.eye(dim_a), factor)
-    if np.linalg.norm(o.matrix - rebuilt) > SUPPORT_TOL * scale:
-        identity = "I_B" if o.support == SUPPORT_A else "I_A"
-        raise ValueError(
-            f"observable {o.label!r} is tagged {o.support!r} but is not a local "
-            f"factor tensored with {identity}"
-        )
-    return factor
-
-
 @dataclass(frozen=True, eq=False)
 class ObservableSet:
-    """Ordered collection of observables sharing one bipartite space.
-
-    local_factors holds, member by member, the A- or B-side factor of a
-    locally supported observable and None for a joint one.
-    """
+    """Ordered collection of observables sharing one bipartite space."""
 
     observables: tuple[Observable, ...]
     dim_a: int
     dim_b: int
-    local_factors: tuple[np.ndarray | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         obs = tuple(self.observables)
         if not obs:
             raise ValueError("observable set is empty")
-        d = self.dim_a * self.dim_b
+        sizes = {SUPPORT_A: self.dim_a, SUPPORT_B: self.dim_b,
+                 SUPPORT_JOINT: self.dim_a * self.dim_b}
         labels = set()
-        factors = []
         for o in obs:
+            d = sizes[o.support]
             if o.matrix.shape != (d, d):
                 raise ValueError(
-                    f"observable {o.label!r} has shape {o.matrix.shape}, expected ({d}, {d})"
+                    f"observable {o.label!r} is tagged {o.support!r} but has shape "
+                    f"{o.matrix.shape}, expected ({d}, {d})"
                 )
             scale = max(1.0, float(np.linalg.norm(o.matrix)))
             if np.linalg.norm(o.matrix - o.matrix.conj().T) > OBS_HERMITICITY_TOL * scale:
                 raise ValueError(f"observable {o.label!r} is not Hermitian")
-            factor = None
-            if o.support != SUPPORT_JOINT:
-                factor = _local_factor(o, self.dim_a, self.dim_b, scale)
             if o.pt_parity is not None:
-                if factor is None:
+                # PT_B maps a (x) I_B to itself and I_A (x) b to I_A (x) b^T
+                if o.support == SUPPORT_JOINT:
                     pt = partial_transpose(o.matrix, self.dim_a, self.dim_b, "B")
-                    defect = np.linalg.norm(pt - o.pt_parity * o.matrix)
                 else:
-                    # PT_B maps a (x) I_B to itself and I_A (x) b to I_A (x) b^T;
-                    # an identity factor of dimension d scales the Frobenius
-                    # norm by sqrt(d)
-                    on_b = o.support == SUPPORT_B
-                    pt = factor.T if on_b else factor
-                    width = self.dim_a if on_b else self.dim_b
-                    defect = np.linalg.norm(pt - o.pt_parity * factor) * np.sqrt(width)
-                if defect > PT_PARITY_TOL * scale:
+                    pt = o.matrix.T if o.support == SUPPORT_B else o.matrix
+                if np.linalg.norm(pt - o.pt_parity * o.matrix) > PT_PARITY_TOL * scale:
                     raise ValueError(
                         f"observable {o.label!r} does not have partial-transpose "
                         f"parity {o.pt_parity}"
@@ -131,9 +98,7 @@ class ObservableSet:
             if o.label in labels:
                 raise ValueError(f"duplicate observable label {o.label!r}")
             labels.add(o.label)
-            factors.append(factor)
         object.__setattr__(self, "observables", obs)
-        object.__setattr__(self, "local_factors", tuple(factors))
 
     def __len__(self) -> int:
         return len(self.observables)
@@ -149,7 +114,15 @@ class ObservableSet:
         return tuple(o.label for o in self.observables)
 
     def matrices(self) -> list[np.ndarray]:
-        return [o.matrix for o in self.observables]
+        """Joint-space matrices: a (x) I_B, I_A (x) b, or the joint member itself."""
+        eye_a = np.eye(self.dim_a, dtype=complex)
+        eye_b = np.eye(self.dim_b, dtype=complex)
+        return [
+            np.kron(o.matrix, eye_b) if o.support == SUPPORT_A
+            else np.kron(eye_a, o.matrix) if o.support == SUPPORT_B
+            else o.matrix
+            for o in self.observables
+        ]
 
 
 def pauli_product_set() -> ObservableSet:
@@ -181,16 +154,16 @@ def collective_spin_matrices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def collective_spin_set(m: int) -> ObservableSet:
-    """Six joint-space operators (S^x_A, S^y_A, S^z_A, S^x_B, S^y_B, S^z_B)."""
+    """The sextet (S^x_A, S^y_A, S^z_A, S^x_B, S^y_B, S^z_B), each stored as
+    its (M+1) x (M+1) factor."""
     sx, sy, sz = collective_spin_matrices(m)
-    eye = np.eye(m + 1, dtype=complex)
     members = (
-        Observable("Sx_A", kron(sx, eye), SUPPORT_A, 1),
-        Observable("Sy_A", kron(sy, eye), SUPPORT_A, 1),
-        Observable("Sz_A", kron(sz, eye), SUPPORT_A, 1),
-        Observable("Sx_B", kron(eye, sx), SUPPORT_B, 1),
-        Observable("Sy_B", kron(eye, sy), SUPPORT_B, -1),
-        Observable("Sz_B", kron(eye, sz), SUPPORT_B, 1),
+        Observable("Sx_A", sx, SUPPORT_A, 1),
+        Observable("Sy_A", sy, SUPPORT_A, 1),
+        Observable("Sz_A", sz, SUPPORT_A, 1),
+        Observable("Sx_B", sx, SUPPORT_B, 1),
+        Observable("Sy_B", sy, SUPPORT_B, -1),
+        Observable("Sz_B", sz, SUPPORT_B, 1),
     )
     return ObservableSet(members, m + 1, m + 1)
 
@@ -216,6 +189,11 @@ def hp_quadrature_set(m: int, spin_set: ObservableSet | None = None) -> Observab
     if spin_set is None:
         spin_set = collective_spin_set(m)
     _require_spin_sextet(spin_set)
+    if (spin_set.dim_a, spin_set.dim_b) != (m + 1, m + 1):
+        raise ValueError(
+            f"spin_set has dimensions {spin_set.dim_a}x{spin_set.dim_b}, "
+            f"expected {m + 1}x{m + 1} for m={m}"
+        )
     scale = 1.0 / np.sqrt(2.0 * m)
     picks = (("x_A", 1), ("p_A", 2), ("x_B", 4), ("p_B", 5))
     members = tuple(

@@ -92,8 +92,7 @@ def uncertainty_report(rho, observables) -> UncertaintyReport:
     Subset residuals are the principal minors of the uncertainty matrix, so
     one matrix evaluation covers the whole report.
     """
-    ops = observables.matrices() if hasattr(observables, "matrices") else list(observables)
-    u = uncertainty_matrix(rho, ops)
+    u = uncertainty_matrix(rho, observables)
     n = u.shape[0]
     i_values: dict = {}
     for j in range(n):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,11 @@ from entcov.cli import main
 from entcov.criterion import correlation_data_from_state
 from entcov.observables import collective_spin_set
 from entcov.states import spin_ensemble_state, werner_mix
+
+
+def read_config(path):
+    line = next(l for l in path.read_text().splitlines() if l.startswith("# config: "))
+    return json.loads(line[len("# config: "):])
 
 
 def read_rows(path):
@@ -40,6 +46,14 @@ class TestWernerBell:
     def test_invalid_grid_is_validation_error(self, tmp_path):
         code = main(["werner-bell", "--mu-max", "1.5", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_config_holds_only_its_own_settings(self, tmp_path):
+        out = tmp_path / "wb.csv"
+        assert main(["werner-bell", "--mu-steps", "5", "--out", str(out)]) == 0
+        assert read_config(out) == {
+            "experiment": "WERNER_BELL", "mu_grid": [0.0, 1.0, 5],
+            "tolerance": 1e-9, "out": str(out),
+        }
 
 
 class TestSpinEnsemble:
@@ -85,6 +99,27 @@ class TestSpinEnsemble:
         assert main(argv) == 0
         _, rows = read_rows(tmp_path / "s.csv")
         assert len(rows) == 10
+
+    def test_config_keys(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["spin-ensemble", "--m", "2", "--t-steps", "2", "--out", str(out)]) == 0
+        assert sorted(read_config(out)) == [
+            "criteria", "ew_box", "ew_decay", "ew_sweeps", "ew_t0", "experiment", "jobs",
+            "m", "mu_grid", "out", "rotate", "seed", "t_grid", "tolerance",
+        ]
+
+    def test_criteria_sweep_memory_follows_operators_not_dimension(self, tmp_path):
+        # at M = 40 one D x D complex matrix (D = 41^2) takes 45 MB
+        argv = ["spin-ensemble", "--m", "40", "--t-steps", "3", "--criteria", "cm,ds",
+                "--out", str(tmp_path / "s.csv")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16e6
 
     def test_witness_cap_error(self, tmp_path):
         code = main(["spin-ensemble", "--m", "20", "--criteria", "ew",

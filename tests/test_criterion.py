@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,40 @@ class TestUncertaintyMatrix:
             mats = [oracles.random_hermitian(rng, dim) for _ in range(int(rng.integers(1, 6)))]
             u = uncertainty_matrix(rho, mats)
             assert np.linalg.eigvalsh(u)[0] >= -1e-9
+
+
+class TestObservableInputs:
+    def test_bare_observable_rejected(self):
+        # a local member stores its factor, which has no joint dimensions
+        member = collective_spin_set(2)[0]
+        with pytest.raises(ValueError, match="'Sx_A' needs an ObservableSet"):
+            covariance_matrix(np.eye(9) / 9, [member])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 3), (3, 2)]),
+    n_a=st.integers(0, 3),
+    n_b=st.integers(0, 3),
+    mu=st.floats(0.0, 1.0),
+)
+def test_werner_moments_match_dense_moments(seed, dims, n_a, n_b, mu):
+    # random complex factors: the B factors must enter transposed
+    assume(n_a + n_b >= 1)
+    rng = np.random.default_rng(seed)
+    da, db = dims
+    members = [
+        Observable(f"a{i}", oracles.random_hermitian(rng, da), "A") for i in range(n_a)
+    ] + [
+        Observable(f"b{i}", oracles.random_hermitian(rng, db), "B") for i in range(n_b)
+    ]
+    order = rng.permutation(len(members))
+    obs_set = ObservableSet(tuple(members[i] for i in order), da, db)
+    psi = PureState(da, db, oracles.random_pure(rng, da * db))
+    fast = uncertainty_matrix(WernerState(psi, mu), obs_set)
+    dense = uncertainty_matrix(werner_mix(psi, mu), obs_set)
+    assert np.abs(fast - dense).max() <= 1e-12 * max(1.0, np.linalg.norm(dense, 2))
 
 
 class TestCriterionMatrix:
@@ -264,10 +299,10 @@ def test_werner_route_matches_dense_route(seed, dims, n_a, n_b, mu):
     rng = np.random.default_rng(seed)
     da, db = dims
     members = [
-        Observable(f"a{i}", np.kron(oracles.random_hermitian(rng, da), np.eye(db)), "A")
+        Observable(f"a{i}", oracles.random_hermitian(rng, da), "A")
         for i in range(n_a)
     ] + [
-        Observable(f"b{i}", np.kron(np.eye(da), oracles.random_hermitian(rng, db)), "B")
+        Observable(f"b{i}", oracles.random_hermitian(rng, db), "B")
         for i in range(n_b)
     ]
     order = rng.permutation(len(members))
@@ -302,11 +337,11 @@ def test_data_route_matches_evaluator_routes(seed, dims, n_a, n_b, mu):
     members = []
     for i in range(n_a):
         a = _definite_parity_factor(rng, da, rng.random() < 0.5)
-        members.append(Observable(f"a{i}", np.kron(a, np.eye(db)), "A", 1))
+        members.append(Observable(f"a{i}", a, "A", 1))
     for i in range(n_b):
         odd = bool(rng.random() < 0.5)
         b = _definite_parity_factor(rng, db, odd)
-        members.append(Observable(f"b{i}", np.kron(np.eye(da), b), "B", -1 if odd else 1))
+        members.append(Observable(f"b{i}", b, "B", -1 if odd else 1))
     order = rng.permutation(len(members))
     obs_set = ObservableSet(tuple(members[i] for i in order), da, db)
     evaluator = CriterionEvaluator(obs_set)
@@ -321,6 +356,15 @@ def test_data_route_matches_evaluator_routes(seed, dims, n_a, n_b, mu):
     for state in (WernerState(psi, mu), rho):
         c = evaluator.matrix(state)
         assert np.abs(from_data - c).max() <= 1e-12 * max(1.0, np.linalg.norm(c, 2))
+    # the amplitude-route export matches the dense one
+    exported = correlation_data_from_state(WernerState(psi, mu), obs_set)
+    assert (exported.labels, exported.partition, exported.pt_parity) == (
+        data.labels, data.partition, data.pt_parity
+    )
+    bound = 1e-12 * max(1.0, np.linalg.norm(data.v, 2))
+    for got, want in ((exported.means, data.means), (exported.v, data.v),
+                      (exported.omega, data.omega)):
+        assert np.abs(got - want).max() <= bound
 
 
 class TestDetect:
@@ -371,6 +415,19 @@ class TestCorrelationDataPath:
         from_data = criterion_matrix_from_data(data)
         direct = criterion_matrix(rho, obs_set)
         assert np.abs(from_data - direct).max() < 1e-10
+
+    def test_werner_export_memory_follows_operators_not_dimension(self):
+        # at M = 40 one D x D complex matrix (D = 41^2) takes 45 MB
+        m = 40
+        state = WernerState(spin_ensemble_state(m, 0.05), 0.8)
+        tracemalloc.start()
+        try:
+            data = correlation_data_from_state(state, collective_spin_set(m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.v.shape == (6, 6)
+        assert peak < 16e6
 
     def test_polarized_large_ensemble_data_is_psd(self):
         m = 20

@@ -56,7 +56,7 @@ class TestCollectiveSpinSet:
     def test_polarized_mean(self, polarized_rho):
         m, rho = polarized_rho
         obs_set = collective_spin_set(m)
-        sx_a = obs_set[0].matrix
+        sx_a = obs_set.matrices()[0]
         assert np.trace(rho @ sx_a).real == pytest.approx(m, rel=1e-12)
 
     def test_pauli_sum_commutator(self):
@@ -66,10 +66,10 @@ class TestCollectiveSpinSet:
 
     def test_pt_parity_of_sy_b(self):
         obs_set = collective_spin_set(3)
-        sy_b = obs_set[4]
-        assert sy_b.pt_parity == -1
-        pt = partial_transpose(sy_b.matrix, 4, 4, "B")
-        assert np.allclose(pt, -sy_b.matrix)
+        assert obs_set[4].pt_parity == -1
+        sy_b = obs_set.matrices()[4]
+        pt = partial_transpose(sy_b, 4, 4, "B")
+        assert np.allclose(pt, -sy_b)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 12])
     def test_casimir(self, m):
@@ -78,10 +78,10 @@ class TestCollectiveSpinSet:
         assert np.allclose(total, m * (m + 2) * np.eye(m + 1), atol=1e-9)
 
     def test_a_and_b_operators_commute(self):
-        obs_set = collective_spin_set(4)
+        mats = collective_spin_set(4).matrices()
         for i in range(3):
             for j in range(3, 6):
-                norm = np.linalg.norm(commutator(obs_set[i].matrix, obs_set[j].matrix))
+                norm = np.linalg.norm(commutator(mats[i], mats[j]))
                 assert norm < 1e-12
 
     def test_supports_and_labels(self):
@@ -94,13 +94,13 @@ class TestHpQuadratureSet:
     def test_canonical_commutator_on_polarized_state(self, polarized_rho):
         m, rho = polarized_rho
         quads = hp_quadrature_set(m)
-        x_a, p_a = quads[0].matrix, quads[1].matrix
+        x_a, p_a = quads.matrices()[:2]
         value = np.trace(rho @ commutator(x_a, p_a))
         assert value == pytest.approx(1j, abs=1e-12)
 
     def test_zero_mean_and_vacuum_variance(self, polarized_rho):
         m, rho = polarized_rho
-        x_a = hp_quadrature_set(m)[0].matrix
+        x_a = hp_quadrature_set(m).matrices()[0]
         mean = np.trace(rho @ x_a).real
         second = np.trace(rho @ x_a @ x_a).real
         assert mean == pytest.approx(0.0, abs=1e-12)
@@ -119,6 +119,13 @@ class TestHpQuadratureSet:
     def test_rejects_non_sextet(self):
         with pytest.raises(ValueError):
             hp_quadrature_set(2, spin_set=pauli_product_set())
+
+    def test_rejects_sextet_of_another_size(self):
+        # a mismatched sextet would be scaled by 1/sqrt(2m), not 1/sqrt(2M)
+        with pytest.raises(ValueError, match="spin_set has dimensions 3x3, expected 6x6"):
+            hp_quadrature_set(5, spin_set=collective_spin_set(2))
+        with pytest.raises(ValueError, match="spin_set"):
+            hp_quadrature_set(1, spin_set=rotate_so3(collective_spin_set(2), np.eye(3)))
 
 
 class TestRotateSo3:
@@ -155,7 +162,7 @@ class TestValidation:
         bad = Observable("bad", np.array([[0, 1], [0, 0]]), "A")
         good = Observable("id", np.eye(2), "A")
         with pytest.raises(ValueError, match="Hermitian"):
-            ObservableSet((bad, good), 1, 2)
+            ObservableSet((bad, good), 2, 1)
 
     def test_rejects_wrong_parity_claim(self):
         bad = Observable("yy", np.kron(oracles.SY, oracles.SY), "JOINT", 1)
@@ -163,7 +170,7 @@ class TestValidation:
             ObservableSet((bad,), 2, 2)
 
     def test_rejects_duplicate_labels(self):
-        a = Observable("w", np.eye(4), "A")
+        a = Observable("w", np.eye(2), "A")
         b = Observable("w", np.kron(oracles.SZ, oracles.SZ), "JOINT", 1)
         with pytest.raises(ValueError, match="duplicate"):
             ObservableSet((a, b), 2, 2)
@@ -181,16 +188,18 @@ class TestValidation:
             Observable("Z_A", np.kron(oracles.SZ, np.eye(2)), "A"),
             Observable("XX", np.kron(oracles.SX, oracles.SX), "B"),
         )
-        with pytest.raises(ValueError, match="'ZZ' is tagged 'A'.*I_B"):
+        with pytest.raises(ValueError, match=r"'ZZ' is tagged 'A' but has shape \(4, 4\)"):
             ObservableSet(members, 2, 2)
-        with pytest.raises(ValueError, match="'XX' is tagged 'B'.*I_A"):
+        with pytest.raises(ValueError, match=r"'Z_A' is tagged 'A' but has shape \(4, 4\)"):
             ObservableSet(members[1:], 2, 2)
+        with pytest.raises(ValueError, match=r"'XX' is tagged 'B' but has shape \(4, 4\)"):
+            ObservableSet(members[2:], 2, 2)
 
     def test_local_parity_checked_on_factor(self):
-        sy_b = Observable("Sy_B", np.kron(np.eye(3), oracles.SY), "B", 1)
+        sy_b = Observable("Sy_B", oracles.SY, "B", 1)
         with pytest.raises(ValueError, match="parity 1"):
             ObservableSet((sy_b,), 3, 2)
-        sy_a = Observable("Sy_A", np.kron(oracles.SY, np.eye(3)), "A", -1)
+        sy_a = Observable("Sy_A", oracles.SY, "A", -1)
         with pytest.raises(ValueError, match="parity -1"):
             ObservableSet((sy_a,), 2, 3)
 
@@ -198,9 +207,15 @@ class TestValidation:
         m = 3
         obs_set = collective_spin_set(m)
         spins = collective_spin_matrices(m)
-        for i, factor in enumerate(obs_set.local_factors):
-            assert np.array_equal(factor, spins[i % 3])
-        assert pauli_product_set().local_factors == (None, None, None)
+        eye = np.eye(m + 1)
+        joint = obs_set.matrices()
+        for i, o in enumerate(obs_set):
+            assert np.array_equal(o.matrix, spins[i % 3])
+            embedded = np.kron(spins[i % 3], eye) if i < 3 else np.kron(eye, spins[i % 3])
+            assert np.array_equal(joint[i], embedded)
+        pauli = pauli_product_set()
+        for o, x in zip(pauli, pauli.matrices()):
+            assert x is o.matrix
 
     def test_every_generated_set_passes_own_invariants(self):
         # construction re-runs validation, so this is the self-check

@@ -78,8 +78,13 @@ class TestSchrodingerI3:
         rho = werner_mix(bell_state(), 0.6)
         mats = [np.kron(s, np.eye(2)) for s in (SX, SY, SZ)]
         value = schrodinger_I3(rho, *mats)
-        det = np.linalg.det(uncertainty_matrix(rho, mats)).real
-        assert value == pytest.approx(det, abs=1e-12)
+        r = rho.matrix
+        u = np.array([
+            [oracles.covariance_entry(r, x, y) + 0.5j * oracles.commutation_entry(r, x, y)
+             for y in mats]
+            for x in mats
+        ])
+        assert value == pytest.approx(np.linalg.det(u).real, abs=1e-12)
         assert value >= -1e-9
 
     def test_nonnegative_on_random_mixed_states(self, rng):
