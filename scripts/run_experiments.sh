@@ -39,6 +39,13 @@ entcov spin-ensemble --m 20 --mu-min 0 --mu-max 1 --mu-steps 11 \
     --t-steps 31 --t-max 0.3 --criteria cm,ppt \
     --out "$OUT/spin_m20_regions.csv"
 
+# cost follows the operator count N, not the dimension D: at M = 200
+# (D = 40401) this runs in seconds and forms no D x D array, since the
+# criterion matrices come from the amplitude matrix and the ppt column
+# from its two largest Schmidt coefficients
+entcov spin-ensemble --m 200 --t-steps 31 --t-max 0.3 --criteria cm,ds,ppt \
+    --out "$OUT/spin_m200_cm_ds_ppt.csv"
+
 # randomized property battery
 entcov uncertainty-suite --trials 1000 --max-n 8 --seed 1
 

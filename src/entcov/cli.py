@@ -218,8 +218,8 @@ def run_spin_ensemble(cfg: EnsembleConfig) -> int:
         for name in flags:
             flags[name].append([])
         for i_t, t in enumerate(ts):
-            # the criterion columns need only psi and mu; the dense D x D
-            # state is built for the partial-transpose spectrum alone
+            # the criterion and ppt columns need only psi and mu; the dense
+            # D x D state is built for the witness alone
             state = WernerState(states[i_t], mu)
             row = [_fmt(mu), _fmt(t)]
             if "cm" in cfg.criteria:
@@ -232,7 +232,7 @@ def run_spin_ensemble(cfg: EnsembleConfig) -> int:
                 row += [_fmt(report.min_eigenvalue), _fmt(report.determinant), report.verdict]
                 flags["ds"][-1].append(report.verdict == ENTANGLED)
             if "ppt" in cfg.criteria:
-                row += [_fmt(ppt_min_eigenvalue(werner_mix(states[i_t], mu)))]
+                row += [_fmt(ppt_min_eigenvalue(state))]
             if "ew" in cfg.criteria:
                 result = ew_results[i_mu * len(ts) + i_t]
                 row += [_fmt(result.min_expectation), _fmt(result.feasibility_residual)]

@@ -68,16 +68,17 @@ def _moments(rho, observables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Means, covariance V and commutation Omega from e[j,k] = Tr(rho xi_j xi_k).
 
     A local ObservableSet on a PureState or WernerState takes the amplitude
-    route with every B factor transposed.  Otherwise only j <= k of e is
-    traced against the dense state; the mirror entries follow by
-    conjugation, exact for a Hermitian state and Hermitian operators.
-    V = Re e - <xi_j><xi_k> is returned symmetrized, Omega = 2 Im e
-    antisymmetrized.
+    route with every B factor transposed, which returns the centered moments
+    e - <xi_j><xi_k> directly.  Otherwise only j <= k of e is traced against
+    the dense state; the mirror entries follow by conjugation, exact for a
+    Hermitian state and Hermitian operators, and the means are subtracted
+    afterwards.  V, the real part of the centered moments, is returned
+    symmetrized, Omega = 2 Im of them antisymmetrized.
     """
     if (isinstance(rho, (PureState, WernerState)) and isinstance(observables, ObservableSet)
             and all(o.support != SUPPORT_JOINT for o in observables)):
         factors = [o.matrix.T if o.support == SUPPORT_B else o.matrix for o in observables]
-        means, e = CriterionEvaluator(observables)._amplitude_moments(rho, factors)
+        means, centered = CriterionEvaluator(observables)._amplitude_moments(rho, factors)
     else:
         mats = _operator_matrices(observables)
         r = as_matrix(rho)
@@ -93,8 +94,9 @@ def _moments(rho, observables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 val = _trace_product(r, mats[j] @ mats[k])
                 e[j, k] = val
                 e[k, j] = np.conj(val)
-    v = e.real - np.outer(means, means)
-    omega = 2.0 * e.imag
+        centered = e - np.outer(means, means)
+    v = centered.real
+    omega = 2.0 * centered.imag
     return means, (v + v.T) / 2, (omega - omega.T) / 2
 
 
@@ -133,13 +135,19 @@ class CriterionEvaluator:
     Entry (j,k) is
     Tr[rho PT_B(xi_j xi_k)] - Tr[rho PT_B(xi_j)] Tr[rho PT_B(xi_k)].
     For a Werner mixture rho = mu |psi><psi| + (1-mu) I/D of a pure state on
-    local observables it equals E - m m^T with the B-B pairs of E read
-    transposed, where E = mu G + (1-mu) T, G[j,k] = <v_j|v_k> over the
-    vectors v_j = a_j Psi or Psi b_j, T[j,k] = Tr(xi_j xi_k)/D, and
-    m_j = mu Re<psi|v_j> + (1-mu) Tr(xi_j)/D.  T and Tr(xi_j)/D depend on
-    the observables alone and are computed here; b^T in place of b leaves
-    both unchanged.  Dense states use the partially transposed operator
-    products instead, built on first use.
+    local observables it equals
+    mu G_c + (1-mu) T_c + mu (1-mu) (p - tau)(p - tau)^T
+    with the B-B pairs of G_c read transposed.  G_c is the Gram matrix of the
+    centered vectors v_j - p_j psi, where v_j = a_j Psi or Psi b_j and
+    p_j = Re<psi|v_j>; tau_j = Tr(xi_j)/D and T_c = T - tau tau^T with
+    T[j,k] = Tr(xi_j xi_k)/D.  Every term is a Gram matrix or a rank-one
+    product, so no means of order M are subtracted from second moments of
+    order M^2 afterwards: for M spins per side that cancellation would turn
+    the amplitudes' relative rounding into absolute errors above the verdict
+    tolerance once M reaches a few hundred.  T_c and tau depend on the
+    observables alone and are computed here; b^T in place of b leaves both
+    unchanged.  Dense states use the partially transposed operator products
+    instead, built on first use.
     """
 
     def __init__(self, obs_set: ObservableSet):
@@ -155,13 +163,14 @@ class CriterionEvaluator:
         self._factors = factors
         self._on_b = on_b
         self._trace_means = np.array([np.trace(f).real for f in factors]) / side_dims
-        t = np.outer(self._trace_means, self._trace_means)
+        tau = self._trace_means
+        t_c = np.zeros((self._n, self._n))
         for j in range(self._n):
             for k in range(j, self._n):
                 if on_b[j] == on_b[k]:
                     tr = np.einsum("ab,ba->", factors[j], factors[k]).real / side_dims[j]
-                    t[j, k] = t[k, j] = tr
-        self._mixed_moments = t
+                    t_c[j, k] = t_c[k, j] = tr - tau[j] * tau[k]
+        self._mixed_covariance = t_c
 
     @cached_property
     def _pt_tables(self) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
@@ -176,8 +185,8 @@ class CriterionEvaluator:
 
     def matrix(self, rho) -> np.ndarray:
         if isinstance(rho, (PureState, WernerState)) and self._local:
-            means, e = self._amplitude_moments(rho, self._factors)
-            return hermitize(_transpose_b_pairs(e, self._on_b) - np.outer(means, means))
+            _, k = self._amplitude_moments(rho, self._factors)
+            return hermitize(_transpose_b_pairs(k, self._on_b))
         r = as_matrix(rho)
         if r.shape[0] != self._dim:
             raise ValueError(
@@ -193,8 +202,10 @@ class CriterionEvaluator:
         return hermitize(c)
 
     def _amplitude_moments(self, state, factors) -> tuple[np.ndarray, np.ndarray]:
-        """Means m and E = mu G + (1-mu) T over v_j = a_j Psi or Psi f_j: the
-        criterion matrix passes f = b, the raw moments f = b^T."""
+        """Means m = mu p + (1-mu) tau and the centered second moments
+        K = mu G_c + (1-mu) T_c + mu (1-mu) (p - tau)(p - tau)^T over
+        v_j = a_j Psi or Psi f_j: the criterion matrix passes f = b, the raw
+        moments f = b^T.  K equals E - m m^T of the uncentered moments E."""
         if isinstance(state, PureState):
             state = WernerState(state, 1.0)
         psi = state.psi
@@ -204,12 +215,22 @@ class CriterionEvaluator:
                 f"{self.obs_set.dim_a}x{self.obs_set.dim_b}"
             )
         amp = psi.amplitudes.reshape(psi.dim_a, psi.dim_b)
-        v = np.stack([
-            amp @ f if on_b else f @ amp for f, on_b in zip(factors, self._on_b)
-        ]).reshape(self._n, -1)
+        # each product is written into its slot of v: no list to stack
+        v = np.empty((self._n, psi.dim_a, psi.dim_b), dtype=complex)
+        for f, on_b, out in zip(factors, self._on_b, v):
+            if on_b:
+                np.matmul(amp, f, out=out)
+            else:
+                np.matmul(f, amp, out=out)
+        v = v.reshape(self._n, -1)
+        p = (v @ psi.amplitudes.conj()).real
+        v -= p[:, None] * psi.amplitudes
         mu = state.mu
-        means = mu * (v @ psi.amplitudes.conj()).real + (1.0 - mu) * self._trace_means
-        return means, mu * (v.conj() @ v.T) + (1.0 - mu) * self._mixed_moments
+        shift = p - self._trace_means
+        means = mu * p + (1.0 - mu) * self._trace_means
+        k = (mu * (v.conj() @ v.T) + (1.0 - mu) * self._mixed_covariance
+             + mu * (1.0 - mu) * np.outer(shift, shift))
+        return means, k
 
 
 def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:

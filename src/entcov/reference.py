@@ -1,6 +1,13 @@
-"""Reference criteria for cross-validation: the spectrum of the partially
-transposed state, the quadrature instance of the covariance criterion, and
-a simulated-annealing search over decomposable entanglement witnesses."""
+"""Reference criteria for cross-validation: the lowest eigenvalue of the
+partially transposed state, the quadrature instance of the covariance
+criterion, and a simulated-annealing search over decomposable entanglement
+witnesses.
+
+The partial-transpose minimum of a PureState or a WernerState has a closed
+form in the two largest Schmidt coefficients, so the `ppt` column of a
+spin-ensemble sweep forms no D x D array; DensityMatrix and raw-array inputs
+take the dense spectrum.
+"""
 
 from __future__ import annotations
 
@@ -11,15 +18,32 @@ import numpy as np
 from .criterion import CriterionReport, DEFAULT_VERDICT_TOL, criterion_matrix, detect
 from .linalg import clip_psd, hermitize, kron, partial_transpose
 from .observables import ObservableSet, collective_spin_matrices, hp_quadrature_set
-from .states import DensityMatrix, as_matrix
+from .states import DensityMatrix, PureState, WernerState, as_matrix
 
 
 def ppt_min_eigenvalue(rho, dim_a: int | None = None, dim_b: int | None = None) -> float:
     """Minimum eigenvalue of the partially transposed state.
 
-    A negative value certifies entanglement.  Dimensions are taken from the
-    DensityMatrix when one is passed.
+    A negative value certifies entanglement.  For a PureState, or a
+    WernerState rho = mu |psi><psi| + (1-mu) I/D, it is
+    -mu s1 s2 + (1-mu)/D, where s1 >= s2 are the two largest singular values
+    of the dim_a x dim_b amplitude matrix (s2 = 0 when one side has
+    dimension 1): PT(|psi><psi|) has the spectrum {s_i^2} U {+-s_i s_j, i<j},
+    padded with zeros up to D, and PT(I) = I.  A DensityMatrix or a raw
+    matrix is partially transposed and eigensolved densely.  Dimensions are
+    taken from the state when it carries them.
     """
+    if isinstance(rho, PureState):
+        rho = WernerState(rho, 1.0)
+    if isinstance(rho, WernerState):
+        psi = rho.psi
+        s = np.linalg.svd(psi.amplitudes.reshape(psi.dim_a, psi.dim_b), compute_uv=False)
+        if s.size > 1:
+            pure_min = -s[0] * s[1]
+        else:
+            # a zero eigenvalue exists unless the state is the whole 1 x 1 space
+            pure_min = 0.0 if psi.dim > 1 else s[0] ** 2
+        return float(rho.mu * pure_min + (1.0 - rho.mu) / psi.dim)
     if isinstance(rho, DensityMatrix):
         dim_a, dim_b = rho.dim_a, rho.dim_b
     elif dim_a is None or dim_b is None:

@@ -89,11 +89,13 @@ class TestSpinEnsemble:
     @pytest.mark.parametrize("rotate", [False, True])
     def test_criteria_sweep_builds_no_dense_state(self, tmp_path, monkeypatch, rotate):
         def refuse(*args, **kwargs):
-            raise AssertionError("werner_mix called by a cm,ds sweep")
+            raise AssertionError("werner_mix called by a cm,ds,ppt sweep")
 
+        # the states module's binding is what WernerState.density() calls
         monkeypatch.setattr("entcov.cli.werner_mix", refuse)
+        monkeypatch.setattr("entcov.states.werner_mix", refuse)
         argv = ["spin-ensemble", "--m", "3", "--mu-min", "0.5", "--mu-steps", "2",
-                "--t-steps", "5", "--criteria", "cm,ds", "--out", str(tmp_path / "s.csv")]
+                "--t-steps", "5", "--criteria", "cm,ds,ppt", "--out", str(tmp_path / "s.csv")]
         if rotate:
             argv += ["--rotate", "0", "1", "0", "-1", "0", "0", "0", "0", "1"]
         assert main(argv) == 0
@@ -120,6 +122,27 @@ class TestSpinEnsemble:
             tracemalloc.stop()
         assert code == 0
         assert peak < 16e6
+
+    def test_large_m_sweep_product_state_undetected(self, tmp_path):
+        # at M = 400 (D = 401^2) one D x D complex matrix would take 414 GB;
+        # the t = 0 row is a product state, so neither criterion may fire
+        out = tmp_path / "s.csv"
+        argv = ["spin-ensemble", "--m", "400", "--t-steps", "3", "--criteria", "cm,ds,ppt",
+                "--out", str(out)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 170e6
+        _, rows = read_rows(out)
+        assert [float(r["t"]) for r in rows] == [0.0, 0.25, 0.5]
+        assert rows[0]["cm_verdict"] == "UNDETECTED"
+        assert rows[0]["ds_verdict"] == "UNDETECTED"
+        assert float(rows[0]["ppt_min_eig"]) >= -1e-10
+        assert all(float(r["ppt_min_eig"]) < 0 for r in rows[1:])
 
     def test_witness_cap_error(self, tmp_path):
         code = main(["spin-ensemble", "--m", "20", "--criteria", "ew",

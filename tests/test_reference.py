@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entcov.criterion import ENTANGLED, UNDETECTED, criterion_matrix, detect
 from entcov.linalg import kron, partial_transpose
@@ -14,6 +16,8 @@ from entcov.reference import (
 )
 from entcov.states import (
     DensityMatrix,
+    PureState,
+    WernerState,
     bell_state,
     product_state,
     spin_coherent_x,
@@ -51,6 +55,34 @@ class TestPptMinEigenvalue:
     def test_raw_matrix_requires_dims(self):
         with pytest.raises(ValueError, match="dim"):
             ppt_min_eigenvalue(np.eye(4) / 4)
+
+    def test_closed_form_product_state(self, rng):
+        # a rank-1 amplitude matrix has s2 = 0 up to rounding
+        for da, db in ((2, 3), (3, 3), (1, 3)):
+            amps = np.kron(oracles.random_pure(rng, da), oracles.random_pure(rng, db))
+            assert ppt_min_eigenvalue(PureState(da, db, amps)) >= -1e-14
+
+    def test_closed_form_single_level(self):
+        # the 1 x 1 space has no zero eigenvalue to pad the spectrum with
+        psi = PureState(1, 1, np.ones(1, dtype=complex))
+        for mu in (0.0, 0.5, 1.0):
+            assert ppt_min_eigenvalue(WernerState(psi, mu)) == pytest.approx(1.0, abs=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 3), (3, 2), (3, 3), (1, 3), (3, 1)]),
+    mu=st.floats(0.0, 1.0),
+)
+def test_closed_form_ppt_matches_dense_oracle(seed, dims, mu):
+    rng = np.random.default_rng(seed)
+    da, db = dims
+    psi = PureState(da, db, oracles.random_pure(rng, da * db))
+    # a PureState is the mu = 1 Werner mixture
+    for state, weight in ((WernerState(psi, mu), mu), (psi, 1.0)):
+        sigma = oracles.partial_transpose_loops(werner_mix(psi, weight).matrix, da, db)
+        assert abs(ppt_min_eigenvalue(state) - np.linalg.eigvalsh(sigma)[0]) <= 1e-12
 
 
 class TestDuanSimon:
