@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .criterion import (
+    DEFAULT_VERDICT_TOL,
     ENTANGLED,
+    UNDETECTED,
     CorrelationData,
     CriterionEvaluator,
     DataValidationError,
@@ -29,7 +31,7 @@ from .criterion import (
 )
 from .linalg import HermiticityError
 from .observables import collective_spin_set, hp_quadrature_set, pauli_product_set, rotate_so3
-from .reference import AnnealParams, ppt_min_eigenvalue, witness_optimize
+from .reference import WITNESS_VERDICT_TOL, AnnealParams, ppt_min_eigenvalue, witness_optimize
 from .states import WernerState, bell_state, spin_ensemble_state, werner_mix
 from .suite import run_property_battery
 
@@ -96,11 +98,6 @@ class EnsembleConfig(SweepConfig):
             raise ValueError("jobs must be >= 1")
 
 
-def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    """Inclusive endpoints, uniform spacing."""
-    return np.linspace(lo, hi, steps)
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -135,7 +132,7 @@ def run_werner_bell(cfg: SweepConfig) -> int:
     """Eigenvalue sweep of the two-qubit Werner mixture of the Bell state."""
     evaluator = CriterionEvaluator(pauli_product_set())
     bell = bell_state()
-    mus = _grid(*cfg.mu_grid)
+    mus = np.linspace(*cfg.mu_grid)
     columns = ["mu", "eig_1", "eig_2", "eig_3", "det", "verdict"]
     rows = []
     flags = []
@@ -182,8 +179,8 @@ def run_spin_ensemble(cfg: EnsembleConfig) -> int:
     if "ds" in cfg.criteria:
         evaluators["ds"] = CriterionEvaluator(hp_quadrature_set(cfg.m, spin_set=spin))
 
-    mus = _grid(*cfg.mu_grid)
-    ts = _grid(*cfg.t_grid)
+    mus = np.linspace(*cfg.mu_grid)
+    ts = np.linspace(*cfg.t_grid)
     columns = ["mu", "t"]
     if "cm" in cfg.criteria:
         columns += [f"cm_eig_{i + 1}" for i in range(6)] + ["cm_det", "cm_verdict"]
@@ -206,8 +203,10 @@ def run_spin_ensemble(cfg: EnsembleConfig) -> int:
             for i_t, t in enumerate(ts):
                 index = i_mu * len(ts) + i_t
                 tasks.append((cfg.m, float(mu), float(t), params, _point_seed(cfg.seed, index)))
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the pool forks all of its workers at the first submit
+        workers = min(cfg.jobs, len(tasks))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 ew_results = list(pool.map(_witness_point, *zip(*tasks)))
         else:
             ew_results = [_witness_point(*task) for task in tasks]
@@ -284,7 +283,8 @@ def run_witness(args) -> int:
     print(f"min_expectation: {_fmt(result.min_expectation)}")
     print(f"feasibility_residual: {_fmt(result.feasibility_residual)}")
     print(f"iterations: {result.iterations}")
-    print("verdict: " + (ENTANGLED if result.min_expectation < -1e-6 else "UNDETECTED"))
+    detected = result.min_expectation < -WITNESS_VERDICT_TOL
+    print("verdict: " + (ENTANGLED if detected else UNDETECTED))
     if args.out is not None:
         config = {
             "experiment": "WITNESS",
@@ -326,12 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement detection from covariance and commutation matrices",
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    anneal = AnnealParams()
 
     p = sub.add_parser("werner-bell", help="two-qubit Werner-Bell eigenvalue sweep")
     p.add_argument("--mu-min", type=float, default=0.0)
     p.add_argument("--mu-max", type=float, default=1.0)
     p.add_argument("--mu-steps", type=int, default=201)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_VERDICT_TOL)
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=lambda a: run_werner_bell(_sweep_config(a, "WERNER_BELL")))
 
@@ -347,18 +348,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rotate", type=float, nargs=9, default=None,
                    help="row-major 3x3 rotation applied to both spin triples")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_VERDICT_TOL)
     p.add_argument("--jobs", type=int, default=1, help="worker processes for witness points")
-    p.add_argument("--ew-sweeps", type=int, default=300, help="witness annealing sweeps")
-    p.add_argument("--ew-t0", type=float, default=1.0, help="witness starting temperature")
-    p.add_argument("--ew-decay", type=float, default=0.98, help="witness temperature decay")
-    p.add_argument("--ew-box", type=float, default=10.0, help="witness coefficient box scale")
+    p.add_argument("--ew-sweeps", type=int, default=anneal.sweeps, help="witness annealing sweeps")
+    p.add_argument("--ew-t0", type=float, default=anneal.t0, help="witness starting temperature")
+    p.add_argument("--ew-decay", type=float, default=anneal.decay,
+                   help="witness temperature decay")
+    p.add_argument("--ew-box", type=float, default=anneal.box_scale,
+                   help="witness coefficient box scale")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=lambda a: run_spin_ensemble(_ensemble_config(a)))
 
     p = sub.add_parser("from-data", help="verdict for a measured correlation file")
     p.add_argument("--input", required=True, help="JSON correlation record")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_VERDICT_TOL)
     p.set_defaults(func=lambda a: run_from_data(a.input, a.tol))
 
     p = sub.add_parser("uncertainty-suite", help="randomized property battery")
@@ -372,10 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--t", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sweeps", type=int, default=300)
-    p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--decay", type=float, default=0.98)
-    p.add_argument("--box", type=float, default=10.0)
+    p.add_argument("--sweeps", type=int, default=anneal.sweeps)
+    p.add_argument("--t0", type=float, default=anneal.t0)
+    p.add_argument("--decay", type=float, default=anneal.decay)
+    p.add_argument("--box", type=float, default=anneal.box_scale)
     p.add_argument("--out", default=None, help="CSV path for the result row")
     p.set_defaults(func=run_witness)
 
@@ -393,10 +396,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except HermiticityError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
+    except (HermiticityError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (DataValidationError, ValueError) as exc:

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_HERMITICITY_TOL, hermitian_eigenvalues, hermitize, partial_transpose
+from .linalg import hermitian_eigenvalues, hermitize, partial_transpose
 from .observables import SUPPORT_A, SUPPORT_B, SUPPORT_JOINT, Observable, ObservableSet
 from .states import PureState, WernerState, as_matrix
 
@@ -262,13 +262,10 @@ class CriterionReport:
             )
 
 
-def detect(
-    matrix,
-    tol: float = DEFAULT_VERDICT_TOL,
-    hermiticity_tol: float = DEFAULT_HERMITICITY_TOL,
-) -> CriterionReport:
-    """Eigenvalue test: any eigenvalue below -tol certifies entanglement."""
-    eigs = hermitian_eigenvalues(matrix, hermiticity_tol)
+def detect(matrix, tol: float = DEFAULT_VERDICT_TOL) -> CriterionReport:
+    """Eigenvalue test: any eigenvalue below -tol certifies entanglement; a
+    matrix further from Hermitian than linalg.DEFAULT_HERMITICITY_TOL raises."""
+    eigs = hermitian_eigenvalues(matrix)
     mn = float(eigs[0])
     det = float(np.prod(eigs))
     verdict = ENTANGLED if mn < -tol else UNDETECTED

@@ -69,25 +69,26 @@ def duan_simon_report(
     return detect(criterion_matrix(rho, quads), tol)
 
 
+WITNESS_VERDICT_TOL = 1e-6  # an expectation below -WITNESS_VERDICT_TOL is ENTANGLED
+PROPOSAL_SCALE = 0.5  # annealer kick width per unit of coefficient box and temperature
+
+
 @dataclass(frozen=True)
 class AnnealParams:
-    """Knobs for the witness annealer; defaults favor small ensembles."""
+    """Temperature schedule and coefficient box of the witness annealer;
+    defaults favor small ensembles and are the CLI defaults.  The
+    decomposability certificate uses decomposable_split's own defaults."""
 
     t0: float = 1.0
     decay: float = 0.98
     sweeps: int = 300
     box_scale: float = 10.0
-    proposal_scale: float = 0.5
-    feas_tol: float = 1e-8
-    feas_max_iter: int = 500
 
     def __post_init__(self):
         if self.t0 <= 0 or not 0.0 < self.decay < 1.0:
             raise ValueError("temperature schedule requires t0 > 0 and 0 < decay < 1")
-        if self.sweeps < 1 or self.feas_max_iter < 1:
-            raise ValueError("sweeps and feas_max_iter must be positive")
-        if self.box_scale <= 0 or self.proposal_scale <= 0 or self.feas_tol <= 0:
-            raise ValueError("box_scale, proposal_scale and feas_tol must be positive")
+        if self.sweeps < 1 or self.box_scale <= 0:
+            raise ValueError("sweeps and box_scale must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +128,8 @@ def decomposable_split(
     transpose is a Frobenius isometry, so both projections are exact
     eigenvalue clips.  Returns (feasible, residual, P) where the residual is
     the largest remaining negative-part norm of P and (w - P)^(T_A).
-    Non-convergence within max_iter reports infeasible.
+    Non-convergence within max_iter reports infeasible.  The defaults are
+    the ones the witness annealer certifies with.
     """
     if dim_a != dim_b:
         raise ValueError("decomposable_split expects equal subsystem dimensions")
@@ -231,9 +233,7 @@ def witness_optimize(
     c = np.zeros((4, 4))
     c[0, 0] = 1.0 / dim
     w = ops[0][0] / dim
-    _, residual0, p_warm = decomposable_split(
-        w, d_side, d_side, params.feas_tol, params.feas_max_iter
-    )
+    _, residual0, p_warm = decomposable_split(w, d_side, d_side)
     best_c = c.copy()
     best_obj = float(np.sum(c * expect))
     best_residual = residual0
@@ -246,7 +246,7 @@ def witness_optimize(
         for _ in range(len(free)):
             iterations += 1
             i, j = free[rng.integers(len(free))]
-            new = c[i, j] + rng.normal(0.0, params.proposal_scale * box * temp)
+            new = c[i, j] + rng.normal(0.0, PROPOSAL_SCALE * box * temp)
             if abs(new) > box:
                 continue
             delta = (new - c[i, j]) * expect[i, j]
@@ -258,8 +258,7 @@ def witness_optimize(
                 continue
             w_new = w + (new - c[i, j]) * ops[i][j]
             feasible, residual, p_new = decomposable_split(
-                w_new, d_side, d_side, params.feas_tol, params.feas_max_iter,
-                start=p_warm,
+                w_new, d_side, d_side, start=p_warm
             )
             if not feasible:
                 continue

@@ -151,20 +151,21 @@ def werner_mix(psi: PureState, mu: float) -> DensityMatrix:
 def spin_coherent_x(m: int) -> np.ndarray:
     """Dicke-basis amplitudes of the maximally x-polarized M-qubit ensemble.
 
-    c_k = sqrt(C(M, k)) / 2^(M/2); exact binomials are used for small M and
-    log-gamma evaluation beyond M = 30 to avoid overflow.
+    c_k = sqrt(C(M, k) / 2^M) to within an ulp at every M: the exact integer
+    binomial is scaled into [1/2, 2) by one correctly rounded division, so no
+    power of two enters a float and only c_k itself can underflow (M > 2044).
     """
     if m < 1:
         raise ValueError("ensemble size must be >= 1")
-    if m <= 30:
-        amps = np.array([math.sqrt(math.comb(m, k)) for k in range(m + 1)])
-        return amps / 2 ** (m / 2)
-    half_log = [
-        0.5 * (math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1))
-        - 0.5 * m * math.log(2.0)
-        for k in range(m + 1)
-    ]
-    return np.exp(half_log)
+    amps = []
+    binom = 1
+    for k in range(m + 1):
+        b = binom.bit_length()
+        # an odd exponent b - M is folded into the mantissa, which halves evenly
+        b -= (b - m) % 2
+        amps.append(math.ldexp(math.sqrt(binom / (1 << b)), (b - m) // 2))
+        binom = binom * (m - k) // (k + 1)
+    return np.array(amps)
 
 
 def product_state(amps_a, amps_b) -> PureState:

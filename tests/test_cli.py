@@ -102,6 +102,19 @@ class TestSpinEnsemble:
         _, rows = read_rows(tmp_path / "s.csv")
         assert len(rows) == 10
 
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_byte_identical_across_runs(self, tmp_path, rotate):
+        out = tmp_path / "s.csv"
+        argv = ["spin-ensemble", "--m", "20", "--mu-min", "0.5", "--mu-steps", "2",
+                "--t-steps", "11", "--t-max", "0.3", "--criteria", "cm,ds,ppt",
+                "--out", str(out)]
+        if rotate:
+            argv += ["--rotate", "0.6", "0.8", "0", "-0.8", "0.6", "0", "0", "0", "1"]
+        assert main(argv) == 0
+        first = out.read_bytes()
+        assert main(argv) == 0
+        assert out.read_bytes() == first
+
     def test_config_keys(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["spin-ensemble", "--m", "2", "--t-steps", "2", "--out", str(out)]) == 0
@@ -159,6 +172,35 @@ class TestSpinEnsemble:
         header, rows = read_rows(out)
         assert "ew_min_expectation" in header
         assert all(float(r["ew_residual"]) <= 1e-6 for r in rows)
+
+    def test_jobs_capped_at_witness_points(self, tmp_path, monkeypatch):
+        requested = []
+
+        class SerialPool:
+            """Records the worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("entcov.cli.ProcessPoolExecutor", SerialPool)
+        argv = ["spin-ensemble", "--m", "1", "--t-steps", "2", "--criteria", "ew",
+                "--ew-sweeps", "1"]
+        assert main(argv + ["--jobs", "10000", "--out", str(tmp_path / "many.csv")]) == 0
+        assert requested and max(requested) <= 2
+        assert main(argv + ["--jobs", "1", "--out", str(tmp_path / "one.csv")]) == 0
+        _, many = read_rows(tmp_path / "many.csv")
+        _, one = read_rows(tmp_path / "one.csv")
+        assert len(many) == 2
+        assert many == one
 
 
 class TestFromData:

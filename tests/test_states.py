@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -129,11 +130,22 @@ class TestSpinCoherentX:
         assert np.allclose(amps, amps[::-1], rtol=1e-12)
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
 
-    def test_log_gamma_path_matches_exact_binomials(self):
-        # exact integers still fit in a float here, so both routes are usable
-        m = 40
-        exact = np.array([math.sqrt(math.comb(m, k)) for k in range(m + 1)]) / 2 ** (m / 2)
-        assert np.allclose(spin_coherent_x(m), exact, rtol=1e-12)
+    @pytest.mark.parametrize("m", [31, 40, 200, 2000])
+    def test_exact_to_an_ulp(self, m):
+        amps = spin_coherent_x(m)
+        assert np.all(amps > 0)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for k in range(m + 1):
+                exact = (Decimal(math.comb(m, k)) / 2**m).sqrt()
+                assert abs(Decimal(amps[k]) - exact) <= Decimal("2.3e-16") * exact, k
+        assert abs(np.linalg.norm(amps) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("m", range(2, 31, 2))
+    def test_even_m_bitwise_equals_float_binomials(self, m):
+        # C(M, k) < 2^53 is exact in a float and 2^(M/2) is a power of two
+        float_route = np.array([math.sqrt(math.comb(m, k)) for k in range(m + 1)]) / 2 ** (m / 2)
+        assert np.array_equal(spin_coherent_x(m), float_route)
 
 
 class TestSzszEvolve:
