@@ -32,8 +32,9 @@ from .criterion import (
 from .linalg import HermiticityError
 from .observables import collective_spin_set, hp_quadrature_set, pauli_product_set, rotate_so3
 from .reference import WITNESS_VERDICT_TOL, AnnealParams, ppt_min_eigenvalue, witness_optimize
-from .states import WernerState, bell_state, spin_ensemble_state, werner_mix
-from .suite import run_property_battery
+from .states import (WernerState, bell_state, product_state, spin_coherent_x,
+                     spin_ensemble_state, szsz_evolve, werner_mix)
+from .suite import DEFAULT_MAX_N, DEFAULT_TRIALS, run_property_battery
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -159,11 +160,6 @@ def _require_witness_dim(m: int):
         )
 
 
-def _witness_point(m: int, mu: float, t: float, params: AnnealParams, seed: int):
-    """Annealed witness on the Werner mixture of the evolved ensemble pair."""
-    return witness_optimize(werner_mix(spin_ensemble_state(m, t), mu), m, params, seed)
-
-
 def run_spin_ensemble(cfg: EnsembleConfig) -> int:
     """Criteria comparison over the (mu, t) grid of two evolved ensembles."""
     if cfg.m < 1:
@@ -191,25 +187,25 @@ def run_spin_ensemble(cfg: EnsembleConfig) -> int:
     if "ew" in cfg.criteria:
         columns += ["ew_min_expectation", "ew_residual"]
 
-    states = [spin_ensemble_state(cfg.m, t) for t in ts]
+    # psi and its t-free start are built once; only the witness forms a D x D state
+    coherent = spin_coherent_x(cfg.m)
+    product = product_state(coherent, coherent)
+    states = [szsz_evolve(product, t) for t in ts]
+    points = [WernerState(psi, mu) for mu in mus for psi in states]
 
     ew_results = []
     if "ew" in cfg.criteria:
         params = AnnealParams(
             t0=cfg.ew_t0, decay=cfg.ew_decay, sweeps=cfg.ew_sweeps, box_scale=cfg.ew_box
         )
-        tasks = []
-        for i_mu, mu in enumerate(mus):
-            for i_t, t in enumerate(ts):
-                index = i_mu * len(ts) + i_t
-                tasks.append((cfg.m, float(mu), float(t), params, _point_seed(cfg.seed, index)))
+        tasks = [(p, cfg.m, params, _point_seed(cfg.seed, i)) for i, p in enumerate(points)]
         # the pool forks all of its workers at the first submit
         workers = min(cfg.jobs, len(tasks))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                ew_results = list(pool.map(_witness_point, *zip(*tasks)))
+                ew_results = list(pool.map(witness_optimize, *zip(*tasks)))
         else:
-            ew_results = [_witness_point(*task) for task in tasks]
+            ew_results = [witness_optimize(*task) for task in tasks]
 
     rows = []
     flags = {name: [] for name in ("cm", "ds")}
@@ -217,9 +213,8 @@ def run_spin_ensemble(cfg: EnsembleConfig) -> int:
         for name in flags:
             flags[name].append([])
         for i_t, t in enumerate(ts):
-            # the criterion and ppt columns need only psi and mu; the dense
-            # D x D state is built for the witness alone
-            state = WernerState(states[i_t], mu)
+            index = i_mu * len(ts) + i_t
+            state = points[index]
             row = [_fmt(mu), _fmt(t)]
             if "cm" in cfg.criteria:
                 report = detect(evaluators["cm"].matrix(state), cfg.tolerance)
@@ -233,7 +228,7 @@ def run_spin_ensemble(cfg: EnsembleConfig) -> int:
             if "ppt" in cfg.criteria:
                 row += [_fmt(ppt_min_eigenvalue(state))]
             if "ew" in cfg.criteria:
-                result = ew_results[i_mu * len(ts) + i_t]
+                result = ew_results[index]
                 row += [_fmt(result.min_expectation), _fmt(result.feasibility_residual)]
             rows.append(row)
 
@@ -279,7 +274,8 @@ def run_witness(args) -> int:
     params = AnnealParams(
         t0=args.t0, decay=args.decay, sweeps=args.sweeps, box_scale=args.box
     )
-    result = _witness_point(args.m, args.mu, args.t, params, args.seed)
+    state = WernerState(spin_ensemble_state(args.m, args.t), args.mu)
+    result = witness_optimize(state, args.m, params, args.seed)
     print(f"min_expectation: {_fmt(result.min_expectation)}")
     print(f"feasibility_residual: {_fmt(result.feasibility_residual)}")
     print(f"iterations: {result.iterations}")
@@ -365,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda a: run_from_data(a.input, a.tol))
 
     p = sub.add_parser("uncertainty-suite", help="randomized property battery")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=lambda a: run_uncertainty_suite(a.trials, a.max_n, a.seed))
 

@@ -12,8 +12,9 @@ PureState or a WernerState (a Werner mixture of a pure state).  On the
 moments read a Psi and Psi b^T; the criterion matrix reads Psi b, the
 partially transposed I_A (x) b^T.  It costs O(N dim^3) and forms no D x D
 array.  Otherwise the joint matrices (ObservableSet.matrices() or raw
-arrays) are traced against the dense state, and the criterion matrix
-transposes their products over B in tables built on the first such call.
+arrays) are traced against the dense state, and the criterion matrix reads
+their products transposed over B from the set's pt_tables, which the
+ObservableSet caches, like tau and T_c, on first use.
 
 criterion_matrix_from_data reconstructs the matrix from externally
 measured correlation data when every operator is locally supported with a
@@ -23,13 +24,13 @@ rule as the amplitude route orders the B-B pairs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, hermitize, partial_transpose
-from .observables import SUPPORT_A, SUPPORT_B, SUPPORT_JOINT, Observable, ObservableSet
+from .linalg import hermitian_eigenvalues, hermitize
+from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet
 from .states import PureState, WernerState, as_matrix
 
 DEFAULT_VERDICT_TOL = 1e-9
@@ -76,9 +77,8 @@ def _moments(rho, observables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     symmetrized, Omega = 2 Im of them antisymmetrized.
     """
     if (isinstance(rho, (PureState, WernerState)) and isinstance(observables, ObservableSet)
-            and all(o.support != SUPPORT_JOINT for o in observables)):
-        factors = [o.matrix.T if o.support == SUPPORT_B else o.matrix for o in observables]
-        means, centered = CriterionEvaluator(observables)._amplitude_moments(rho, factors)
+            and observables.is_local):
+        means, centered = _amplitude_moments(rho, observables, transpose_b=True)
     else:
         mats = _operator_matrices(observables)
         r = as_matrix(rho)
@@ -129,118 +129,82 @@ def _transpose_b_pairs(k: np.ndarray, on_b: np.ndarray) -> np.ndarray:
     return np.where(np.outer(on_b, on_b), k.T, k)
 
 
-class CriterionEvaluator:
-    """Repeated criterion-matrix evaluation over one observable set.
+def _amplitude_moments(state, obs_set, transpose_b: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Means m = mu p + (1-mu) tau and centered second moments K = E - m m^T
+    of mu |psi><psi| + (1-mu) I/D over a local set, formed as
+    K = mu G_c + (1-mu) T_c + mu (1-mu) (p - tau)(p - tau)^T.
 
-    Entry (j,k) is
-    Tr[rho PT_B(xi_j xi_k)] - Tr[rho PT_B(xi_j)] Tr[rho PT_B(xi_k)].
-    For a Werner mixture rho = mu |psi><psi| + (1-mu) I/D of a pure state on
-    local observables it equals
-    mu G_c + (1-mu) T_c + mu (1-mu) (p - tau)(p - tau)^T
-    with the B-B pairs of G_c read transposed.  G_c is the Gram matrix of the
-    centered vectors v_j - p_j psi, where v_j = a_j Psi or Psi b_j and
-    p_j = Re<psi|v_j>; tau_j = Tr(xi_j)/D and T_c = T - tau tau^T with
-    T[j,k] = Tr(xi_j xi_k)/D.  Every term is a Gram matrix or a rank-one
-    product, so no means of order M are subtracted from second moments of
-    order M^2 afterwards: for M spins per side that cancellation would turn
-    the amplitudes' relative rounding into absolute errors above the verdict
-    tolerance once M reaches a few hundred.  T_c and tau depend on the
-    observables alone and are computed here; b^T in place of b leaves both
-    unchanged.  Dense states use the partially transposed operator products
-    instead, built on first use.
+    G_c is the Gram matrix of v_j - p_j psi, v_j = a_j Psi or Psi f_j on the
+    amplitude matrix Psi, p_j = Re<psi|v_j>; f = b^T with transpose_b (the
+    raw moments), f = b for the criterion matrix.  tau and T_c are the
+    set's mixed_moments.  No means of order M are subtracted from second
+    moments of order M^2, a cancellation that at a few hundred spins per
+    side would lift rounding above the verdict tolerance.
     """
-
-    def __init__(self, obs_set: ObservableSet):
-        self.obs_set = obs_set
-        self._n = len(obs_set)
-        self._dim = obs_set.dim_a * obs_set.dim_b
-        self._local = all(o.support != SUPPORT_JOINT for o in obs_set)
-        if not self._local:
-            return
-        factors = [o.matrix for o in obs_set]
-        on_b = np.array([o.support == SUPPORT_B for o in obs_set])
-        side_dims = np.where(on_b, obs_set.dim_b, obs_set.dim_a)
-        self._factors = factors
-        self._on_b = on_b
-        self._trace_means = np.array([np.trace(f).real for f in factors]) / side_dims
-        tau = self._trace_means
-        t_c = np.zeros((self._n, self._n))
-        for j in range(self._n):
-            for k in range(j, self._n):
-                if on_b[j] == on_b[k]:
-                    tr = np.einsum("ab,ba->", factors[j], factors[k]).real / side_dims[j]
-                    t_c[j, k] = t_c[k, j] = tr - tau[j] * tau[k]
-        self._mixed_covariance = t_c
-
-    @cached_property
-    def _pt_tables(self) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-        da, db = self.obs_set.dim_a, self.obs_set.dim_b
-        mats = self.obs_set.matrices()
-        pairs = [(j, k) for j in range(self._n) for k in range(j, self._n)]
-        singles = np.stack([partial_transpose(x, da, db, "B") for x in mats])
-        products = np.stack(
-            [partial_transpose(mats[j] @ mats[k], da, db, "B") for j, k in pairs]
+    if isinstance(state, PureState):
+        state = WernerState(state, 1.0)
+    psi = state.psi
+    if (psi.dim_a, psi.dim_b) != (obs_set.dim_a, obs_set.dim_b):
+        raise ValueError(
+            f"state dimensions {psi.dim_a}x{psi.dim_b} do not match observables "
+            f"{obs_set.dim_a}x{obs_set.dim_b}"
         )
-        return pairs, singles, products
-
-    def matrix(self, rho) -> np.ndarray:
-        if isinstance(rho, (PureState, WernerState)) and self._local:
-            _, k = self._amplitude_moments(rho, self._factors)
-            return hermitize(_transpose_b_pairs(k, self._on_b))
-        r = as_matrix(rho)
-        if r.shape[0] != self._dim:
-            raise ValueError(
-                f"state dimension {r.shape[0]} does not match observables {self._dim}"
-            )
-        pairs, pt_singles, pt_products = self._pt_tables
-        means = np.einsum("nab,ba->n", pt_singles, r).real
-        moments = np.einsum("pab,ba->p", pt_products, r)
-        c = np.zeros((self._n, self._n), dtype=complex)
-        for (j, k), e in zip(pairs, moments):
-            c[j, k] = e - means[j] * means[k]
-            c[k, j] = np.conj(c[j, k])
-        return hermitize(c)
-
-    def _amplitude_moments(self, state, factors) -> tuple[np.ndarray, np.ndarray]:
-        """Means m = mu p + (1-mu) tau and the centered second moments
-        K = mu G_c + (1-mu) T_c + mu (1-mu) (p - tau)(p - tau)^T over
-        v_j = a_j Psi or Psi f_j: the criterion matrix passes f = b, the raw
-        moments f = b^T.  K equals E - m m^T of the uncentered moments E."""
-        if isinstance(state, PureState):
-            state = WernerState(state, 1.0)
-        psi = state.psi
-        if (psi.dim_a, psi.dim_b) != (self.obs_set.dim_a, self.obs_set.dim_b):
-            raise ValueError(
-                f"state dimensions {psi.dim_a}x{psi.dim_b} do not match observables "
-                f"{self.obs_set.dim_a}x{self.obs_set.dim_b}"
-            )
-        amp = psi.amplitudes.reshape(psi.dim_a, psi.dim_b)
-        # each product is written into its slot of v: no list to stack
-        v = np.empty((self._n, psi.dim_a, psi.dim_b), dtype=complex)
-        for f, on_b, out in zip(factors, self._on_b, v):
-            if on_b:
-                np.matmul(amp, f, out=out)
-            else:
-                np.matmul(f, amp, out=out)
-        v = v.reshape(self._n, -1)
-        p = (v @ psi.amplitudes.conj()).real
-        v -= p[:, None] * psi.amplitudes
-        mu = state.mu
-        shift = p - self._trace_means
-        means = mu * p + (1.0 - mu) * self._trace_means
-        k = (mu * (v.conj() @ v.T) + (1.0 - mu) * self._mixed_covariance
-             + mu * (1.0 - mu) * np.outer(shift, shift))
-        return means, k
+    amp = psi.amplitudes.reshape(psi.dim_a, psi.dim_b)
+    # each product is written into its slot of v: no list to stack
+    v = np.empty((len(obs_set), psi.dim_a, psi.dim_b), dtype=complex)
+    for o, on_b, out in zip(obs_set, obs_set.on_b, v):
+        if on_b:
+            np.matmul(amp, o.matrix.T if transpose_b else o.matrix, out=out)
+        else:
+            np.matmul(o.matrix, amp, out=out)
+    v = v.reshape(len(obs_set), -1)
+    p = (v @ psi.amplitudes.conj()).real
+    v -= p[:, None] * psi.amplitudes
+    mu = state.mu
+    tau, t_c = obs_set.mixed_moments
+    shift = p - tau
+    means = mu * p + (1.0 - mu) * tau
+    k = (mu * (v.conj() @ v.T) + (1.0 - mu) * t_c
+         + mu * (1.0 - mu) * np.outer(shift, shift))
+    return means, k
 
 
 def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
-    """Criterion matrix of one state, by the route CriterionEvaluator picks.
+    """C[j,k] = Tr[rho PT_B(xi_j xi_k)] - Tr[rho PT_B(xi_j)] Tr[rho PT_B(xi_k)]
+    by the amplitude route, B-B pairs read transposed, or else against the
+    set's pt_tables, built on its first dense call.
 
     With a single observable this degenerates to the 1x1 variance of the
     transposed operator, which is never negative: one observable cannot
     detect anything.
     """
-    return CriterionEvaluator(obs_set).matrix(rho)
+    if isinstance(rho, (PureState, WernerState)) and obs_set.is_local:
+        _, k = _amplitude_moments(rho, obs_set, transpose_b=False)
+        return hermitize(_transpose_b_pairs(k, obs_set.on_b))
+    r = as_matrix(rho)
+    dim = obs_set.dim_a * obs_set.dim_b
+    if r.shape[0] != dim:
+        raise ValueError(f"state dimension {r.shape[0]} does not match observables {dim}")
+    pairs, pt_singles, pt_products = obs_set.pt_tables
+    means = np.einsum("nab,ba->n", pt_singles, r).real
+    moments = np.einsum("pab,ba->p", pt_products, r)
+    n = len(obs_set)
+    c = np.zeros((n, n), dtype=complex)
+    for (j, k), e in zip(pairs, moments):
+        c[j, k] = e - means[j] * means[k]
+        c[k, j] = np.conj(c[j, k])
+    return hermitize(c)
+
+
+class CriterionEvaluator:
+    """criterion_matrix over one observable set; it holds only the set, as
+    the tables are cached on the ObservableSet."""
+
+    def __init__(self, obs_set: ObservableSet):
+        self.obs_set = obs_set
+
+    def matrix(self, rho) -> np.ndarray:
+        return criterion_matrix(rho, self.obs_set)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +252,7 @@ class CorrelationData:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         object.__setattr__(self, "partition", tuple(str(x) for x in self.partition))
-        object.__setattr__(self, "pt_parity", tuple(int(x) for x in self.pt_parity))
+        object.__setattr__(self, "pt_parity", tuple(self.pt_parity))
         object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
@@ -315,7 +279,7 @@ class CorrelationData:
             if tag not in (SUPPORT_A, SUPPORT_B):
                 raise DataValidationError(f"partition tag {tag!r} must be 'A' or 'B'")
         for s in self.pt_parity:
-            if s not in (1, -1):
+            if isinstance(s, bool) or not isinstance(s, numbers.Real) or s not in (1, -1):
                 raise DataValidationError(f"pt_parity entry {s!r} must be +1 or -1")
         for name, mat in (("V", self.v), ("Omega", self.omega)):
             if mat.shape != (n, n):

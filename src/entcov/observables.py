@@ -15,6 +15,8 @@ joint a (x) I_B or I_A (x) b, for the dense routes only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -61,7 +63,8 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class ObservableSet:
-    """Ordered collection of observables sharing one bipartite space."""
+    """Ordered collection of observables sharing one bipartite space; each
+    table that depends on the operators alone is cached on its first use."""
 
     observables: tuple[Observable, ...]
     dim_a: int
@@ -123,6 +126,38 @@ class ObservableSet:
             else o.matrix
             for o in self.observables
         ]
+
+    @cached_property
+    def is_local(self) -> bool:
+        return all(o.support != SUPPORT_JOINT for o in self.observables)
+
+    @cached_property
+    def on_b(self) -> np.ndarray:
+        return np.array([o.support == SUPPORT_B for o in self.observables])
+
+    @cached_property
+    def mixed_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """tau_j = Tr(xi_j)/D and T_c = T - tau tau^T, T[j,k] = Tr(xi_j xi_k)/D:
+        the maximally mixed means and centered moments of a local set."""
+        side_dims = np.where(self.on_b, self.dim_b, self.dim_a)
+        tau = np.array([np.trace(o.matrix).real for o in self]) / side_dims
+        t_c = np.zeros((len(self), len(self)))
+        for j, k in combinations_with_replacement(range(len(self)), 2):
+            if self.on_b[j] == self.on_b[k]:
+                tr = np.einsum("ab,ba->", self[j].matrix, self[k].matrix).real / side_dims[j]
+                t_c[j, k] = t_c[k, j] = tr - tau[j] * tau[k]
+        return tau, t_c
+
+    @cached_property
+    def pt_tables(self) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+        """Pairs j <= k, PT_B(xi_j) and PT_B(xi_j xi_k) for the dense route:
+        N(N+3)/2 D x D matrices, 27 of 441 x 441 (84 MB) for the M = 20 sextet."""
+        da, db = self.dim_a, self.dim_b
+        mats = self.matrices()
+        pairs = list(combinations_with_replacement(range(len(mats)), 2))
+        singles = np.stack([partial_transpose(x, da, db, "B") for x in mats])
+        products = np.stack([partial_transpose(mats[j] @ mats[k], da, db, "B") for j, k in pairs])
+        return pairs, singles, products
 
 
 def pauli_product_set() -> ObservableSet:

@@ -18,6 +18,8 @@ PSD_FLOOR = -1e-9
 GRAM_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 INVARIANT_TOL = 1e-9
+DEFAULT_TRIALS = 1000
+DEFAULT_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,8 @@ def _random_mixture(rng: np.random.Generator, dim: int, rank: int):
     return weights, vectors, rho
 
 
-def run_property_battery(trials: int = 1000, max_n: int = 8, seed: int = 0) -> list[CheckResult]:
+def run_property_battery(trials: int = DEFAULT_TRIALS, max_n: int = DEFAULT_MAX_N,
+                         seed: int = 0) -> list[CheckResult]:
     """Random mixed states, random operator subsets of size 1..max_n.
 
     Checks, per trial where applicable: the raw second-moment matrix gives a

@@ -206,6 +206,7 @@ def test_acceptance_6_containment_vs_ppt():
     )
 
 
+@pytest.mark.slow
 def test_acceptance_7_witness_containment():
     failures = []
     start = time.perf_counter()

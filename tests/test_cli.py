@@ -115,6 +115,24 @@ class TestSpinEnsemble:
         assert main(argv) == 0
         assert out.read_bytes() == first
 
+    def test_ensemble_amplitudes_built_once_per_sweep(self, tmp_path, monkeypatch):
+        import entcov.cli
+        import entcov.states
+
+        calls = []
+        original = entcov.states.spin_coherent_x
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        for module in (entcov.states, entcov.cli):
+            monkeypatch.setattr(module, "spin_coherent_x", counting, raising=False)
+        argv = ["spin-ensemble", "--m", "20", "--t-steps", "50", "--criteria", "cm,ds",
+                "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        assert calls == [20]
+
     def test_config_keys(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["spin-ensemble", "--m", "2", "--t-steps", "2", "--out", str(out)]) == 0
@@ -162,6 +180,7 @@ class TestSpinEnsemble:
                      "--t-steps", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.slow
     def test_witness_column_seeded(self, tmp_path):
         out = tmp_path / "ew.csv"
         code = main(
@@ -254,6 +273,15 @@ class TestFromData:
         assert main(["from-data", "--input", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [1.5, -1.7, True, "1"])
+    def test_non_unit_parity_rejected(self, tmp_path, capsys, entry):
+        _, path = self.export(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["pt_parity"][4] = entry
+        path.write_text(json.dumps(payload))
+        assert main(["from-data", "--input", str(path)]) == 2
+        assert "pt_parity entry" in capsys.readouterr().err
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json {")
@@ -269,6 +297,7 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 6
 
+    @pytest.mark.slow
     def test_witness_command_with_csv(self, tmp_path, capsys):
         out = tmp_path / "w.csv"
         code = main(

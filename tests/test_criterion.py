@@ -284,6 +284,48 @@ class TestCriterionMatrix:
         assert np.array_equal(evaluator.matrix(psi), evaluator.matrix(WernerState(psi, 1.0)))
 
 
+class TestSetTables:
+    """The operator-only tables live on the ObservableSet, built once."""
+
+    def test_dense_tables_built_once_per_set(self, monkeypatch):
+        import entcov.criterion
+        import entcov.observables
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return partial_transpose(*args, **kwargs)
+
+        for module in (entcov.criterion, entcov.observables):
+            monkeypatch.setattr(module, "partial_transpose", counting, raising=False)
+        obs_set = collective_spin_set(3)
+        for t in (0.1, 0.3):
+            criterion_matrix(werner_mix(spin_ensemble_state(3, t), 0.7), obs_set)
+        assert len(calls) == 6 + 21  # the singles and the j <= k products, once
+
+    def test_cached_tables_carry_nothing_between_states(self, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+
+        def rotated():
+            return rotate_so3(collective_spin_set(2), q)
+
+        psi_a = spin_ensemble_state(2, 0.2)
+        psi_b = PureState(3, 3, oracles.random_pure(rng, 9))
+        psi_q = PureState(2, 2, oracles.random_pure(rng, 4))
+        cases = [
+            (rotated, [werner_mix(psi_a, 0.6), WernerState(psi_b, 0.3), psi_a,
+                       psi_b.density(), WernerState(psi_a, 0.9), psi_b]),
+            (pauli_product_set, [werner_mix(bell_state(), 0.4), WernerState(psi_q, 0.8),
+                                 bell_state(), psi_q.density(), psi_q]),
+        ]
+        for build, states in cases:
+            shared = build()
+            for state in states:
+                got = criterion_matrix(state, shared)
+                assert got.tobytes() == criterion_matrix(state, build()).tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -529,3 +571,21 @@ class TestCorrelationDataPath:
     def test_missing_field_rejected(self):
         with pytest.raises(DataValidationError, match="missing field"):
             CorrelationData.from_dict({"labels": ["a"]})
+
+    @pytest.mark.parametrize("entry", [1.5, -1.7, True, "1"])
+    def test_non_unit_parity_rejected_by_name(self, entry):
+        _, _, data = self.build_data()
+        payload = data.to_dict()
+        payload["pt_parity"][4] = entry
+        with pytest.raises(DataValidationError, match="pt_parity entry"):
+            CorrelationData.from_dict(payload).validate()
+
+    def test_float_unit_parity_accepted(self):
+        _, _, data = self.build_data()
+        payload = data.to_dict()
+        payload["pt_parity"] = [float(s) for s in payload["pt_parity"]]
+        restored = CorrelationData.from_dict(payload).validate()
+        assert restored.pt_parity == data.pt_parity
+        assert np.array_equal(
+            criterion_matrix_from_data(restored), criterion_matrix_from_data(data)
+        )

@@ -156,6 +156,7 @@ class TestDecomposableSplit:
 
 
 class TestWitnessOptimize:
+    @pytest.mark.slow
     def test_maximally_mixed_floor(self):
         d = 9
         rho = DensityMatrix(3, 3, np.eye(d, dtype=complex) / d)
@@ -163,11 +164,13 @@ class TestWitnessOptimize:
         # every trace-one candidate has expectation exactly 1/D here
         assert result.min_expectation == pytest.approx(1 / d, abs=1e-12)
 
+    @pytest.mark.slow
     def test_detects_strongly_entangled_point(self):
         rho = werner_mix(spin_ensemble_state(2, 0.3), 1.0)
         result = witness_optimize(rho, 2, FAST_ANNEAL, seed=0)
         assert result.min_expectation < -1e-3
 
+    @pytest.mark.slow
     def test_result_invariants(self):
         rho = werner_mix(spin_ensemble_state(2, 0.3), 1.0)
         result = witness_optimize(rho, 2, FAST_ANNEAL, seed=0)
@@ -179,6 +182,7 @@ class TestWitnessOptimize:
         value = np.einsum("ab,ba->", rho.matrix, w).real
         assert value == pytest.approx(result.min_expectation, abs=1e-10)
 
+    @pytest.mark.slow
     def test_deterministic_for_fixed_seed(self):
         rho = werner_mix(spin_ensemble_state(2, 0.25), 0.95)
         quick = AnnealParams(t0=0.15, decay=0.9, sweeps=25)
@@ -187,6 +191,7 @@ class TestWitnessOptimize:
         assert a.min_expectation == b.min_expectation
         assert np.array_equal(a.coefficients, b.coefficients)
 
+    @pytest.mark.slow
     def test_detection_implies_npt(self):
         # decomposable witnesses cannot detect PPT states
         for mu, t, seed in [(1.0, 0.3, 0), (1.0, 0.15, 1), (0.9, 0.2, 2)]:
