@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two directories of entcov CSV outputs, file by file.
+"""Compare two directories of entcov outputs, file by file.
 
 Usage: scripts/compare_outputs.py OLD_DIR NEW_DIR
 
@@ -10,9 +10,12 @@ numeric column that differs, the largest absolute difference together with its s
 relative to the largest |eigenvalue| of that row (the largest |cell| over the
 columns whose name contains "eig"); a determinant column is measured
 relative to its own cell instead, a product of eigenvalues having another
-scale.  Exits 1 if a file is missing from one side or a verdict, flip
-comment, header or row count differs; 0 otherwise.  Uses numpy and the
-standard library only, so it reads outputs of any version of the package.
+scale.  For each text file (the uncertainty-suite report) it lists every
+line that differs.  Exits 1 if a file is missing from one side, a CSV
+verdict, flip comment, header or row count differs, or a text file's line
+count or a line's [PASS]/[FAIL] tag differs; 0 otherwise.  Uses numpy and
+the standard library only, so it reads outputs of any version of the
+package.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 CONFIG_PREFIX = "# config: "
+CHECK_TAGS = ("[PASS]", "[FAIL]")
 
 
 def parse(path: Path):
@@ -93,12 +97,34 @@ def compare(old: Path, new: Path) -> bool:
     return verdicts_same and com_a == com_b
 
 
+def _tag(line: str) -> str | None:
+    return next((t for t in CHECK_TAGS if line.startswith(t)), None)
+
+
+def compare_text(old: Path, new: Path) -> bool:
+    """List the differing lines of one text file pair; True when the line
+    count and every [PASS]/[FAIL] tag agree."""
+    lines_a, lines_b = old.read_text().splitlines(), new.read_text().splitlines()
+    if len(lines_a) != len(lines_b):
+        print(f"  line count differs: {len(lines_a)} against {len(lines_b)}")
+        return False
+    changed = [(i, a, b) for i, (a, b) in enumerate(zip(lines_a, lines_b), 1) if a != b]
+    tags_same = all(_tag(a) == _tag(b) for _, a, b in changed)
+    print(f"  lines identical: {not changed}")
+    print(f"  [PASS]/[FAIL] tags identical: {tags_same}")
+    for i, a, b in changed:
+        print(f"  line {i}: {a}")
+        print(f"  {' ' * len(f'line {i}')}  {b}")
+    return tags_same
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
-    names = sorted({p.name for d in (old_dir, new_dir) for p in d.glob("*.csv")})
+    names = sorted({p.name for d in (old_dir, new_dir) for pattern in ("*.csv", "*.txt")
+                    for p in d.glob(pattern)})
     ok = bool(names)
     for name in names:
         print(name)
@@ -107,7 +133,7 @@ def main(argv) -> int:
             print(f"  missing from {old_dir if not old.is_file() else new_dir}")
             ok = False
             continue
-        ok &= compare(old, new)
+        ok &= compare(old, new) if old.suffix == ".csv" else compare_text(old, new)
     print("OK" if ok else "DIFFERENT")
     return 0 if ok else 1
 

@@ -46,8 +46,8 @@ entcov spin-ensemble --m 20 --mu-min 0 --mu-max 1 --mu-steps 11 \
 entcov spin-ensemble --m 200 --t-steps 31 --t-max 0.3 --criteria cm,ds,ppt \
     --out "$OUT/spin_m200_cm_ds_ppt.csv"
 
-# randomized property battery
-entcov uncertainty-suite --trials 1000 --max-n 8 --seed 1
+# randomized property battery; its report is kept for compare_outputs.py
+entcov uncertainty-suite --trials 1000 --max-n 8 --seed 1 | tee "$OUT/uncertainty_suite.txt"
 
 # one documented witness run
 entcov witness --m 2 --mu 1.0 --t 0.3 --seed 0 --sweeps 80 --t0 0.15 \

@@ -28,6 +28,7 @@ from .criterion import (
     DataValidationError,
     criterion_matrix_from_data,
     detect,
+    require_tolerance,
 )
 from .linalg import HermiticityError
 from .observables import collective_spin_set, hp_quadrature_set, pauli_product_set, rotate_so3
@@ -68,8 +69,7 @@ class SweepConfig:
         lo, hi, _ = self.mu_grid
         if lo < 0.0 or hi > 1.0:
             raise ValueError("mu grid must stay inside [0, 1]")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        require_tolerance(self.tolerance)
 
 
 @dataclass(frozen=True)

@@ -1,36 +1,30 @@
 """Covariance and commutation matrices, the operator-level partial-transpose
 criterion matrix, and verdict reporting.
 
-One transpose rule underlies the local routes: PT_B reverses the order of
-two B-side operators, PT_B(xi_j xi_k) = PT_B(xi_k) PT_B(xi_j), so the
-entries of B-B pairs are read transposed (_transpose_b_pairs).
+V and Omega are the centered second moments of xi_j xi_k, the criterion
+matrix those of PT_B(xi_j xi_k), and one route choice (_centered_moments)
+serves both.  A local ObservableSet on a PureState or WernerState takes the
+amplitude route, O(N dim^3) with no D x D array: the local factors act on
+the amplitude matrix, B factors transposed for the moments and B-B pairs
+read transposed for the criterion (_transpose_b_pairs, the one transpose
+rule).  Otherwise one tracer (_trace_table) reads the set's cached
+pt_tables against the state for the criterion, and against PT_B(rho) for
+the moments, as Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list
+traces a per-call table of its own products.
 
-Moments and criterion matrices share one amplitude route, taken when every
-member of an ObservableSet is local to A or to B and the state is a
-PureState or a WernerState (a Werner mixture of a pure state).  On the
-(dim_a x dim_b) amplitude matrix Psi, I_A (x) b acts as Psi b^T, so the
-moments read a Psi and Psi b^T; the criterion matrix reads Psi b, the
-partially transposed I_A (x) b^T.  It costs O(N dim^3) and forms no D x D
-array.  Otherwise the joint matrices (ObservableSet.matrices() or raw
-arrays) are traced against the dense state, and the criterion matrix reads
-their products transposed over B from the set's pt_tables, which the
-ObservableSet caches, like tau and T_c, on first use.
-
-criterion_matrix_from_data reconstructs the matrix from externally
-measured correlation data when every operator is locally supported with a
-definite transpose parity: the parities sign V and Omega, and the same
-rule as the amplitude route orders the B-B pairs.
+criterion_matrix_from_data rebuilds the criterion matrix from measured
+correlations of local operators with definite transpose parity: the
+parities sign V and Omega, and the same transpose rule orders B-B pairs.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, hermitize
-from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet
+from .linalg import hermitian_eigenvalues, hermitize, partial_transpose
+from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet, is_unit_parity
 from .states import PureState, WernerState, as_matrix
 
 DEFAULT_VERDICT_TOL = 1e-9
@@ -44,59 +38,72 @@ class DataValidationError(ValueError):
     """Measured correlation data violates one of its structural invariants."""
 
 
-def _operator_matrices(observables) -> list[np.ndarray]:
-    """Joint matrices of an ObservableSet, or a list of raw square arrays."""
-    if isinstance(observables, ObservableSet):
-        return observables.matrices()
+def require_tolerance(tol) -> float:
+    """The verdict tolerance, which must be finite and positive."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    return float(tol)
+
+
+def _raw_table(observables, dim: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """Pairs j <= k, operators and products xi_j xi_k of a list of raw
+    dim x dim arrays; an operator of another shape is rejected by position."""
     mats = []
-    for o in observables:
+    for i, o in enumerate(observables):
         if isinstance(o, Observable):
             raise ValueError(f"observable {o.label!r} needs an ObservableSet to embed it")
         m = np.asarray(o, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("observables must be square matrices")
+        if m.shape != (dim, dim):
+            raise ValueError(f"observable {i} has shape {m.shape}, expected "
+                             f"({dim}, {dim}) for a state of dimension {dim}")
         mats.append(m)
     if not mats:
         raise ValueError("observable list is empty")
-    return mats
+    pairs = [(j, k) for j in range(len(mats)) for k in range(j, len(mats))]
+    return pairs, np.array(mats), np.array([mats[j] @ mats[k] for j, k in pairs])
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.einsum("ab,ba->", a, b))
+def _trace_table(table, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means m_j = Tr(x_j r) and centered moments K[j,k] = Tr(X_jk r) - m_j m_k
+    of a (pairs, singles x_j, products X_jk) table; the pairs j <= k are
+    traced and their mirrors conjugated, exact for Hermitian r and xi_j."""
+    pairs, singles, products = table
+    j, k = np.array(pairs).T
+    means = np.einsum("nab,ba->n", singles, r).real
+    moments = np.einsum("pab,ba->p", products, r)
+    c = np.zeros((len(singles), len(singles)), dtype=complex)
+    c[j, k] = moments - means[j] * means[k]
+    c[k, j] = np.conj(c[j, k])
+    return means, c
+
+
+def _centered_moments(rho, observables, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Means and centered second moments of xi_j xi_k, or of PT_B(xi_j xi_k)
+    when transposed, by the amplitude route or else by _trace_table.  A raw
+    operator list has no B side to transpose."""
+    if not isinstance(observables, ObservableSet):
+        if transposed:
+            raise TypeError("the criterion matrix needs an ObservableSet")
+        r = as_matrix(rho)
+        return _trace_table(_raw_table(observables, r.shape[0]), r)
+    if isinstance(rho, (PureState, WernerState)) and observables.is_local:
+        means, k = _amplitude_moments(rho, observables, transpose_b=not transposed)
+        return means, _transpose_b_pairs(k, observables.on_b) if transposed else k
+    r = as_matrix(rho)
+    da, db = observables.dim_a, observables.dim_b
+    if r.shape[0] != da * db:
+        raise ValueError(f"state dimension {r.shape[0]} does not match observables {da * db}")
+    if not transposed:
+        r = partial_transpose(r, da, db, "B")
+    return _trace_table(observables.pt_tables, r)
 
 
 def _moments(rho, observables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Means, covariance V and commutation Omega from e[j,k] = Tr(rho xi_j xi_k).
-
-    A local ObservableSet on a PureState or WernerState takes the amplitude
-    route with every B factor transposed, which returns the centered moments
-    e - <xi_j><xi_k> directly.  Otherwise only j <= k of e is traced against
-    the dense state; the mirror entries follow by conjugation, exact for a
-    Hermitian state and Hermitian operators, and the means are subtracted
-    afterwards.  V, the real part of the centered moments, is returned
-    symmetrized, Omega = 2 Im of them antisymmetrized.
-    """
-    if (isinstance(rho, (PureState, WernerState)) and isinstance(observables, ObservableSet)
-            and observables.is_local):
-        means, centered = _amplitude_moments(rho, observables, transpose_b=True)
-    else:
-        mats = _operator_matrices(observables)
-        r = as_matrix(rho)
-        n = len(mats)
-        if mats[0].shape != r.shape:
-            raise ValueError(
-                f"state dimension {r.shape[0]} does not match operators {mats[0].shape[0]}"
-            )
-        means = np.array([_trace_product(r, x).real for x in mats])
-        e = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            for k in range(j, n):
-                val = _trace_product(r, mats[j] @ mats[k])
-                e[j, k] = val
-                e[k, j] = np.conj(val)
-        centered = e - np.outer(means, means)
-    v = centered.real
-    omega = 2.0 * centered.imag
+    """Means, covariance V and commutation Omega from the centered moments of
+    xi_j xi_k, which the dense route reads from pt_tables against PT_B(rho).
+    V is their real part symmetrized, Omega = 2 Im of them antisymmetrized."""
+    means, centered = _centered_moments(rho, observables, transposed=False)
+    v, omega = centered.real, 2.0 * centered.imag
     return means, (v + v.T) / 2, (omega - omega.T) / 2
 
 
@@ -145,10 +152,8 @@ def _amplitude_moments(state, obs_set, transpose_b: bool) -> tuple[np.ndarray, n
         state = WernerState(state, 1.0)
     psi = state.psi
     if (psi.dim_a, psi.dim_b) != (obs_set.dim_a, obs_set.dim_b):
-        raise ValueError(
-            f"state dimensions {psi.dim_a}x{psi.dim_b} do not match observables "
-            f"{obs_set.dim_a}x{obs_set.dim_b}"
-        )
+        raise ValueError(f"state dimensions {psi.dim_a}x{psi.dim_b} do not match observables "
+                         f"{obs_set.dim_a}x{obs_set.dim_b}")
     amp = psi.amplitudes.reshape(psi.dim_a, psi.dim_b)
     # each product is written into its slot of v: no list to stack
     v = np.empty((len(obs_set), psi.dim_a, psi.dim_b), dtype=complex)
@@ -170,30 +175,14 @@ def _amplitude_moments(state, obs_set, transpose_b: bool) -> tuple[np.ndarray, n
 
 
 def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
-    """C[j,k] = Tr[rho PT_B(xi_j xi_k)] - Tr[rho PT_B(xi_j)] Tr[rho PT_B(xi_k)]
-    by the amplitude route, B-B pairs read transposed, or else against the
-    set's pt_tables, built on its first dense call.
+    """C[j,k] = Tr[rho PT_B(xi_j xi_k)] - Tr[rho PT_B(xi_j)] Tr[rho PT_B(xi_k)],
+    the transposed centered moments of _centered_moments.
 
     With a single observable this degenerates to the 1x1 variance of the
     transposed operator, which is never negative: one observable cannot
     detect anything.
     """
-    if isinstance(rho, (PureState, WernerState)) and obs_set.is_local:
-        _, k = _amplitude_moments(rho, obs_set, transpose_b=False)
-        return hermitize(_transpose_b_pairs(k, obs_set.on_b))
-    r = as_matrix(rho)
-    dim = obs_set.dim_a * obs_set.dim_b
-    if r.shape[0] != dim:
-        raise ValueError(f"state dimension {r.shape[0]} does not match observables {dim}")
-    pairs, pt_singles, pt_products = obs_set.pt_tables
-    means = np.einsum("nab,ba->n", pt_singles, r).real
-    moments = np.einsum("pab,ba->p", pt_products, r)
-    n = len(obs_set)
-    c = np.zeros((n, n), dtype=complex)
-    for (j, k), e in zip(pairs, moments):
-        c[j, k] = e - means[j] * means[k]
-        c[k, j] = np.conj(c[j, k])
-    return hermitize(c)
+    return hermitize(_centered_moments(rho, obs_set, transposed=True)[1])
 
 
 class CriterionEvaluator:
@@ -228,12 +217,14 @@ class CriterionReport:
 
 def detect(matrix, tol: float = DEFAULT_VERDICT_TOL) -> CriterionReport:
     """Eigenvalue test: any eigenvalue below -tol certifies entanglement; a
-    matrix further from Hermitian than linalg.DEFAULT_HERMITICITY_TOL raises."""
+    tolerance that is not finite and positive, or a matrix further from
+    Hermitian than linalg.DEFAULT_HERMITICITY_TOL, raises."""
+    tol = require_tolerance(tol)
     eigs = hermitian_eigenvalues(matrix)
     mn = float(eigs[0])
     det = float(np.prod(eigs))
     verdict = ENTANGLED if mn < -tol else UNDETECTED
-    return CriterionReport(eigs, mn, det, verdict, float(tol))
+    return CriterionReport(eigs, mn, det, verdict, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +270,7 @@ class CorrelationData:
             if tag not in (SUPPORT_A, SUPPORT_B):
                 raise DataValidationError(f"partition tag {tag!r} must be 'A' or 'B'")
         for s in self.pt_parity:
-            if isinstance(s, bool) or not isinstance(s, numbers.Real) or s not in (1, -1):
+            if not is_unit_parity(s):
                 raise DataValidationError(f"pt_parity entry {s!r} must be +1 or -1")
         for name, mat in (("V", self.v), ("Omega", self.omega)):
             if mat.shape != (n, n):
@@ -292,13 +283,12 @@ class CorrelationData:
         scale_o = max(1.0, float(np.abs(self.omega).max()))
         if np.abs(self.omega + self.omega.T).max() > DATA_TOL * scale_o:
             raise DataValidationError("commutation matrix Omega is not antisymmetric")
-        for j in range(n):
-            for k in range(n):
-                if self.partition[j] != self.partition[k] and abs(self.omega[j, k]) > DATA_TOL * scale_o:
-                    raise DataValidationError(
-                        f"Omega[{j},{k}] is nonzero across the A/B partition; "
-                        "operators on different subsystems must commute"
-                    )
+        for j, k in np.argwhere(np.abs(self.omega) > DATA_TOL * scale_o):
+            if self.partition[j] != self.partition[k]:
+                raise DataValidationError(
+                    f"Omega[{j},{k}] is nonzero across the A/B partition; "
+                    "operators on different subsystems must commute"
+                )
         return self
 
     def to_dict(self) -> dict:

@@ -14,9 +14,10 @@ joint a (x) I_B or I_A (x) b, for the dense routes only.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
@@ -35,14 +36,19 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def is_unit_parity(s) -> bool:
+    """A transpose parity: a real +1 or -1 that is not a bool."""
+    return not isinstance(s, bool) and isinstance(s, numbers.Real) and s in (1, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian operator with support and parity tags.
 
     matrix is the local factor for support "A" or "B" and the joint-space
     matrix for "JOINT".  pt_parity, when set, asserts that the partial
-    transpose over B maps the joint operator to pt_parity times itself;
-    ObservableSet verifies the claim.
+    transpose over B maps the joint operator to pt_parity times itself, and
+    is stored as a Python int; ObservableSet verifies the claim.
     """
 
     label: str
@@ -53,8 +59,10 @@ class Observable:
     def __post_init__(self):
         if self.support not in (SUPPORT_A, SUPPORT_B, SUPPORT_JOINT):
             raise ValueError(f"unknown support tag {self.support!r}")
-        if self.pt_parity not in (None, 1, -1):
-            raise ValueError(f"pt_parity must be +1, -1 or None, got {self.pt_parity!r}")
+        if self.pt_parity is not None:
+            if not is_unit_parity(self.pt_parity):
+                raise ValueError(f"pt_parity must be +1, -1 or None, got {self.pt_parity!r}")
+            object.__setattr__(self, "pt_parity", int(self.pt_parity))
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"observable {self.label!r} is not a square matrix")
@@ -63,8 +71,8 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class ObservableSet:
-    """Ordered collection of observables sharing one bipartite space; each
-    table that depends on the operators alone is cached on its first use."""
+    """Ordered observables on one bipartite space; each table of the operators
+    alone, such as the pt_tables both dense readers share, is cached on first use."""
 
     observables: tuple[Observable, ...]
     dim_a: int
@@ -150,14 +158,16 @@ class ObservableSet:
 
     @cached_property
     def pt_tables(self) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-        """Pairs j <= k, PT_B(xi_j) and PT_B(xi_j xi_k) for the dense route:
-        N(N+3)/2 D x D matrices, 27 of 441 x 441 (84 MB) for the M = 20 sextet."""
+        """Pairs j <= k, PT_B(xi_j) and PT_B(xi_j xi_k): the dense route's one
+        table, traced against rho for the criterion and against PT_B(rho) for
+        the moments.  N(N+3)/2 preallocated D x D slots, 84 MB at M = 20."""
         da, db = self.dim_a, self.dim_b
         mats = self.matrices()
         pairs = list(combinations_with_replacement(range(len(mats)), 2))
-        singles = np.stack([partial_transpose(x, da, db, "B") for x in mats])
-        products = np.stack([partial_transpose(mats[j] @ mats[k], da, db, "B") for j, k in pairs])
-        return pairs, singles, products
+        table = np.empty((len(mats) + len(pairs), da * db, da * db), dtype=complex)
+        for out, x in zip(table, chain(mats, (mats[j] @ mats[k] for j, k in pairs))):
+            out[...] = partial_transpose(x, da, db, "B")
+        return pairs, table[:len(mats)], table[len(mats):]
 
 
 def pauli_product_set() -> ObservableSet:

@@ -291,6 +291,38 @@ class TestFromData:
         assert main(["from-data", "--input", str(tmp_path / "absent.json")]) == 2
 
 
+class TestTolerance:
+    """The verdict tolerance must be finite and positive, on every command."""
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_from_data_rejects_tolerance(self, tmp_path, capsys, tol):
+        # the M = 2, t = 0 record is a product state: --tol -1 called it ENTANGLED
+        rho = werner_mix(spin_ensemble_state(2, 0.0), 1.0)
+        path = tmp_path / "data.json"
+        data = correlation_data_from_state(rho, collective_spin_set(2))
+        path.write_text(json.dumps(data.to_dict()))
+        assert main(["from-data", "--input", str(path), f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert "tolerance must be finite and positive" in captured.err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["werner-bell", "--mu-steps", "3"],
+        ["spin-ensemble", "--m", "1", "--t-steps", "2", "--criteria", "cm,ew"],
+    ])
+    def test_sweep_rejects_tolerance_before_any_witness(self, tmp_path, capsys, monkeypatch,
+                                                        command, tol):
+        import entcov.cli
+
+        calls = []
+        monkeypatch.setattr(entcov.cli, "witness_optimize", lambda *args: calls.append(args))
+        out = tmp_path / "out.csv"
+        assert main([*command, f"--tol={tol}", "--out", str(out)]) == 2
+        assert not out.exists() and not calls
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+
 class TestOtherCommands:
     def test_uncertainty_suite_quick(self, capsys):
         assert main(["uncertainty-suite", "--trials", "25", "--seed", "9"]) == 0

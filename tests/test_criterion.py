@@ -16,12 +16,14 @@ from entcov.criterion import (
     DataValidationError,
     commutation_matrix,
     correlation_data_from_state,
+    covariance_commutation,
     covariance_matrix,
     criterion_matrix,
     criterion_matrix_from_data,
     detect,
     uncertainty_matrix,
 )
+from entcov.criterion import _moments
 from entcov.linalg import HermiticityError, partial_transpose
 from entcov.observables import (
     Observable,
@@ -326,6 +328,93 @@ class TestSetTables:
                 assert got.tobytes() == criterion_matrix(state, build()).tobytes()
 
 
+class TestSharedDenseReader:
+    """Moments and criterion matrix of a DensityMatrix trace one cached table."""
+
+    def test_joint_matrices_formed_once_per_set(self, monkeypatch):
+        calls = []
+        original = ObservableSet.matrices
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(ObservableSet, "matrices", counting)
+        obs_set = collective_spin_set(2)
+        rho = werner_mix(spin_ensemble_state(2, 0.3), 0.8)
+        criterion_matrix(rho, obs_set)
+        covariance_commutation(rho, obs_set)
+        covariance_commutation(werner_mix(spin_ensemble_state(2, 0.1), 0.5), obs_set)
+        correlation_data_from_state(rho, obs_set)
+        assert len(calls) == 1
+
+    def test_first_dense_call_fills_preallocated_table(self):
+        # the 27 transposed operators and products of the M = 4 sextet take
+        # 27 x 25^2 x 16 B; stacking lists of them peaked at twice that
+        m = 4
+        rho = werner_mix(spin_ensemble_state(m, 0.2), 0.9)
+        obs_set = collective_spin_set(m)
+        table_bytes = 27 * (m + 1) ** 4 * 16
+        tracemalloc.start()
+        try:
+            criterion_matrix(rho, obs_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * table_bytes
+
+    def test_raw_operators_of_another_shape_rejected_by_position(self, rng):
+        rho = oracles.random_density(rng, 4)
+        mats = [oracles.random_hermitian(rng, 4), oracles.random_hermitian(rng, 4),
+                oracles.random_hermitian(rng, 2)]
+        with pytest.raises(ValueError, match=r"observable 2 has shape \(2, 2\)"):
+            covariance_commutation(rho, mats)
+        with pytest.raises(ValueError, match=r"observable 0 has shape \(4,\)"):
+            covariance_commutation(rho, [np.ones(4)])
+        with pytest.raises(ValueError, match=r"observable 1 has shape \(4, 4\)"):
+            covariance_commutation(oracles.random_density(rng, 2), [mats[2], mats[0]])
+
+    def test_criterion_matrix_needs_an_observable_set(self, rng):
+        with pytest.raises(TypeError, match="ObservableSet"):
+            criterion_matrix(oracles.random_density(rng, 4), [np.eye(4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 3), (3, 2)]),
+    n_a=st.integers(0, 2),
+    n_b=st.integers(0, 2),
+    n_joint=st.integers(0, 2),
+    rank=st.integers(1, 6),
+)
+def test_dense_moments_match_entrywise_oracle(seed, dims, n_a, n_b, n_joint, rank):
+    # the moments trace the PT_B tables against PT_B(rho); the oracle traces
+    # the untransposed joint operators against rho, entry by entry
+    assume(n_a + n_b + n_joint >= 1)
+    rng = np.random.default_rng(seed)
+    da, db = dims
+    members = (
+        [Observable(f"a{i}", oracles.random_hermitian(rng, da), "A") for i in range(n_a)]
+        + [Observable(f"b{i}", oracles.random_hermitian(rng, db), "B") for i in range(n_b)]
+        + [Observable(f"j{i}", oracles.random_hermitian(rng, da * db), "JOINT")
+           for i in range(n_joint)]
+    )
+    order = rng.permutation(len(members))
+    obs_set = ObservableSet(tuple(members[i] for i in order), da, db)
+    rho = DensityMatrix(da, db, oracles.random_density(rng, da * db, rank))
+    means, v, omega = _moments(rho, obs_set)
+    r, mats = rho.matrix, obs_set.matrices()
+    pairs = [(x, y) for x in mats for y in mats]
+    shape = (len(mats), len(mats))
+    expected_v = np.reshape([oracles.covariance_entry(r, x, y) for x, y in pairs], shape)
+    expected_omega = np.reshape([oracles.commutation_entry(r, x, y) for x, y in pairs], shape)
+    tol = 1e-12 * max(1.0, np.linalg.norm(v, 2))
+    assert np.abs(means - [oracles.expectation(r, x).real for x in mats]).max() <= tol
+    assert np.abs(v - expected_v).max() <= tol
+    assert np.abs(omega - expected_omega).max() <= tol
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -434,6 +523,11 @@ class TestDetect:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             detect(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_rejects_tolerance_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            detect(np.eye(2), tol)
 
     def test_report_verdict_consistency_enforced(self):
         with pytest.raises(ValueError, match="inconsistent"):
@@ -579,6 +673,17 @@ class TestCorrelationDataPath:
         payload["pt_parity"][4] = entry
         with pytest.raises(DataValidationError, match="pt_parity entry"):
             CorrelationData.from_dict(payload).validate()
+
+    def test_export_with_numpy_parities_reads_back(self):
+        m = 2
+        members = tuple(Observable(o.label, o.matrix, o.support, np.int64(o.pt_parity))
+                        for o in collective_spin_set(m))
+        obs_set = ObservableSet(members, m + 1, m + 1)
+        data = correlation_data_from_state(werner_mix(spin_ensemble_state(m, 0.3), 0.9), obs_set)
+        restored = CorrelationData.from_dict(json.loads(json.dumps(data.to_dict()))).validate()
+        assert restored.pt_parity == (1, 1, 1, 1, -1, 1)
+        assert np.array_equal(criterion_matrix_from_data(restored),
+                              criterion_matrix_from_data(data))
 
     def test_float_unit_parity_accepted(self):
         _, _, data = self.build_data()

@@ -195,6 +195,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"'XX' is tagged 'B' but has shape \(4, 4\)"):
             ObservableSet(members[2:], 2, 2)
 
+    @pytest.mark.parametrize("parity", [True, False, np.bool_(True), 1.5, "1", 0, 1j])
+    def test_rejects_non_unit_parity(self, parity):
+        with pytest.raises(ValueError, match="pt_parity must be"):
+            Observable("z", oracles.SZ, "A", parity)
+
+    @pytest.mark.parametrize("parity", [np.int64(1), np.int32(-1), 1.0, np.float64(-1.0)])
+    def test_unit_parity_stored_as_int(self, parity):
+        stored = Observable("z", oracles.SZ, "A", parity).pt_parity
+        assert type(stored) is int and stored == parity
+
     def test_local_parity_checked_on_factor(self):
         sy_b = Observable("Sy_B", oracles.SY, "B", 1)
         with pytest.raises(ValueError, match="parity 1"):
