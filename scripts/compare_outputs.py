@@ -10,12 +10,15 @@ numeric column that differs, the largest absolute difference together with its s
 relative to the largest |eigenvalue| of that row (the largest |cell| over the
 columns whose name contains "eig"); a determinant column is measured
 relative to its own cell instead, a product of eigenvalues having another
-scale.  For each text file (the uncertainty-suite report) it lists every
-line that differs.  Exits 1 if a file is missing from one side, a CSV
-verdict, flip comment, header or row count differs, or a text file's line
-count or a line's [PASS]/[FAIL] tag differs; 0 otherwise.  Uses numpy and
-the standard library only, so it reads outputs of any version of the
-package.
+scale, and so is every column of a file without eigenvalue columns.  For
+each text file (the uncertainty-suite report) it lists every line that
+differs.  Exits 1 if a file is missing from one side, a CSV verdict, flip
+comment, header or row count differs, a numeric column other than a
+determinant moves by more than REL_TOL (1e-12) of its scale, or a text
+file's line count or a line's [PASS]/[FAIL] tag differs; 0 otherwise.  A
+determinant may move further: one built from analytically zero
+eigenvalues is rounding noise.  Uses numpy and the standard library only,
+so it reads outputs of any version of the package.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 CONFIG_PREFIX = "# config: "
+REL_TOL = 1e-12  # largest move of a non-determinant cell, relative to its scale
 CHECK_TAGS = ("[PASS]", "[FAIL]")
 
 
@@ -76,6 +80,7 @@ def compare(old: Path, new: Path) -> bool:
     scale = None
     if eig_cols and rows_a:
         scale = np.max(np.abs(np.array([[float(r[j]) for j in eig_cols] for r in rows_a])), axis=1)
+    values_close = True
     for j, name in enumerate(head_a):
         if j in verdict_cols:
             continue
@@ -87,14 +92,17 @@ def compare(old: Path, new: Path) -> bool:
             continue
         line = f"  {name}: max |diff| {diff.max():.3g} in {np.count_nonzero(diff)} rows"
         with np.errstate(divide="ignore", invalid="ignore"):
-            if "det" in name:
-                rel = diff / np.maximum(np.abs(a), np.abs(b))
-                line += f", max relative to the cell {np.nanmax(rel):.3g}"
-            elif scale is not None:
-                rel = diff / scale
-                line += f", max relative to the row's largest |eig| {np.nanmax(rel):.3g}"
+            if "det" in name or scale is None:
+                rel = np.nanmax(diff / np.maximum(np.abs(a), np.abs(b)))
+                line += f", max relative to the cell {rel:.3g}"
+            else:
+                rel = np.nanmax(diff / scale)
+                line += f", max relative to the row's largest |eig| {rel:.3g}"
+        if "det" not in name and not rel <= REL_TOL:
+            line += f"  <- beyond {REL_TOL:g}"
+            values_close = False
         print(line)
-    return verdicts_same and com_a == com_b
+    return verdicts_same and com_a == com_b and values_close
 
 
 def _tag(line: str) -> str | None:

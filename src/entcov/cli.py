@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -32,9 +33,10 @@ from .criterion import (
 )
 from .linalg import HermiticityError
 from .observables import collective_spin_set, hp_quadrature_set, pauli_product_set, rotate_so3
-from .reference import WITNESS_VERDICT_TOL, AnnealParams, ppt_min_eigenvalue, witness_optimize
+from .reference import (WITNESS_VERDICT_TOL, AnnealParams, ppt_min_eigenvalue_grid,
+                        witness_optimize)
 from .states import (WernerState, bell_state, product_state, spin_coherent_x,
-                     spin_ensemble_state, szsz_evolve, werner_mix)
+                     spin_ensemble_state, szsz_evolve_grid, werner_mix)
 from .suite import DEFAULT_MAX_N, DEFAULT_TRIALS, run_property_battery
 
 EXIT_OK = 0
@@ -160,6 +162,41 @@ def _require_witness_dim(m: int):
         )
 
 
+def _ensemble_grid(cfg: EnsembleConfig, evaluators: dict, mus, ts):
+    """Reports per criterion, PPT minima and witness results over the
+    (mu, t) grid, each in row order (mu major).
+
+    psi is evolved for every t in one array from a t-free start built once.
+    Each criterion takes the whole grid in one call, so a psi's Gram matrix
+    is formed once for all mu, and detect takes one mu row of matrices at a
+    time; the PPT column reads every psi's Schmidt coefficients from one
+    stacked SVD.  Only the witness forms a D x D state.  The states go out
+    of scope on return, before the rows are formatted.
+    """
+    coherent = spin_coherent_x(cfg.m)
+    states = szsz_evolve_grid(product_state(coherent, coherent), ts)
+    ppt = ppt_min_eigenvalue_grid(states, mus).ravel() if "ppt" in cfg.criteria else None
+    reports = {
+        name: [r for row in evaluator.grid(states, mus) for r in detect(row, cfg.tolerance)]
+        for name, evaluator in evaluators.items()
+    }
+    ew_results = None
+    if "ew" in cfg.criteria:
+        params = AnnealParams(
+            t0=cfg.ew_t0, decay=cfg.ew_decay, sweeps=cfg.ew_sweeps, box_scale=cfg.ew_box
+        )
+        points = [WernerState(psi, mu) for mu in mus for psi in states]
+        tasks = [(p, cfg.m, params, _point_seed(cfg.seed, i)) for i, p in enumerate(points)]
+        # the pool forks all of its workers at the first submit
+        workers = min(cfg.jobs, len(tasks))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                ew_results = list(pool.map(witness_optimize, *zip(*tasks)))
+        else:
+            ew_results = [witness_optimize(*task) for task in tasks]
+    return reports, ppt, ew_results
+
+
 def run_spin_ensemble(cfg: EnsembleConfig) -> int:
     """Criteria comparison over the (mu, t) grid of two evolved ensembles."""
     if cfg.m < 1:
@@ -187,57 +224,29 @@ def run_spin_ensemble(cfg: EnsembleConfig) -> int:
     if "ew" in cfg.criteria:
         columns += ["ew_min_expectation", "ew_residual"]
 
-    # psi and its t-free start are built once; only the witness forms a D x D state
-    coherent = spin_coherent_x(cfg.m)
-    product = product_state(coherent, coherent)
-    states = [szsz_evolve(product, t) for t in ts]
-    points = [WernerState(psi, mu) for mu in mus for psi in states]
-
-    ew_results = []
-    if "ew" in cfg.criteria:
-        params = AnnealParams(
-            t0=cfg.ew_t0, decay=cfg.ew_decay, sweeps=cfg.ew_sweeps, box_scale=cfg.ew_box
-        )
-        tasks = [(p, cfg.m, params, _point_seed(cfg.seed, i)) for i, p in enumerate(points)]
-        # the pool forks all of its workers at the first submit
-        workers = min(cfg.jobs, len(tasks))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                ew_results = list(pool.map(witness_optimize, *zip(*tasks)))
-        else:
-            ew_results = [witness_optimize(*task) for task in tasks]
-
+    reports, ppt, ew_results = _ensemble_grid(cfg, evaluators, mus, ts)
     rows = []
-    flags = {name: [] for name in ("cm", "ds")}
-    for i_mu, mu in enumerate(mus):
-        for name in flags:
-            flags[name].append([])
-        for i_t, t in enumerate(ts):
-            index = i_mu * len(ts) + i_t
-            state = points[index]
-            row = [_fmt(mu), _fmt(t)]
-            if "cm" in cfg.criteria:
-                report = detect(evaluators["cm"].matrix(state), cfg.tolerance)
-                row += [_fmt(e) for e in report.eigenvalues]
-                row += [_fmt(report.determinant), report.verdict]
-                flags["cm"][-1].append(report.verdict == ENTANGLED)
-            if "ds" in cfg.criteria:
-                report = detect(evaluators["ds"].matrix(state), cfg.tolerance)
-                row += [_fmt(report.min_eigenvalue), _fmt(report.determinant), report.verdict]
-                flags["ds"][-1].append(report.verdict == ENTANGLED)
-            if "ppt" in cfg.criteria:
-                row += [_fmt(ppt_min_eigenvalue(state))]
-            if "ew" in cfg.criteria:
-                result = ew_results[index]
-                row += [_fmt(result.min_expectation), _fmt(result.feasibility_residual)]
-            rows.append(row)
+    for index, (mu, t) in enumerate(itertools.product(mus, ts)):
+        row = [_fmt(mu), _fmt(t)]
+        if "cm" in reports:
+            report = reports["cm"][index]
+            row += [_fmt(e) for e in report.eigenvalues]
+            row += [_fmt(report.determinant), report.verdict]
+        if "ds" in reports:
+            report = reports["ds"][index]
+            row += [_fmt(report.min_eigenvalue), _fmt(report.determinant), report.verdict]
+        if ppt is not None:
+            row.append(_fmt(ppt[index]))
+        if ew_results is not None:
+            result = ew_results[index]
+            row += [_fmt(result.min_expectation), _fmt(result.feasibility_residual)]
+        rows.append(row)
 
     comments = []
-    for name in ("cm", "ds"):
-        if name not in cfg.criteria:
-            continue
+    for name, named in reports.items():
         for i_mu, mu in enumerate(mus):
-            for x in _flip_midpoints(ts, flags[name][i_mu]):
+            flags = [r.verdict == ENTANGLED for r in named[i_mu * len(ts):(i_mu + 1) * len(ts)]]
+            for x in _flip_midpoints(ts, flags):
                 comments.append(f"{name} verdict flip at t = {_fmt(x)} for mu = {_fmt(mu)}")
     _write_csv(cfg.out, asdict(cfg), comments, columns, rows)
     for c in comments:

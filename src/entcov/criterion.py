@@ -3,14 +3,22 @@ criterion matrix, and verdict reporting.
 
 V and Omega are the centered second moments of xi_j xi_k, the criterion
 matrix those of PT_B(xi_j xi_k), and one route choice (_centered_moments)
-serves both.  A local ObservableSet on a PureState or WernerState takes the
-amplitude route, O(N dim^3) with no D x D array: the local factors act on
-the amplitude matrix, B factors transposed for the moments and B-B pairs
-read transposed for the criterion (_transpose_b_pairs, the one transpose
-rule).  Otherwise one tracer (_trace_table) reads the set's cached
-pt_tables against the state for the criterion, and against PT_B(rho) for
-the moments, as Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list
-traces a per-call table of its own products.
+serves both.  A local ObservableSet on pure states and Werner mixtures takes
+the amplitude route, O(N dim^3) per psi with no D x D array: the local
+factors act on the amplitude matrix, B factors transposed for the moments
+and B-B pairs read transposed for the criterion (_transpose_b_pairs, the one
+transpose rule).  The route takes a grid, a list of same-shape pure states
+psi times a vector of mixing weights mu (criterion_grid): it forms p and the
+centered Gram matrix G_c once per psi, stacking the psis in chunks whose
+working set stays within GRID_CHUNK_BYTES, and then every mu's moments from
+that psi's G_c.  One PureState or WernerState is a 1 x 1 grid.  Otherwise
+one tracer (_trace_table) reads the set's cached pt_tables against the
+state for the criterion, and against PT_B(rho) for the moments, as
+Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list traces a per-call
+table of its own products.
+
+detect eigensolves one criterion matrix, or a stack of them in one call
+with one report per member.
 
 criterion_matrix_from_data rebuilds the criterion matrix from measured
 correlations of local operators with definite transpose parity: the
@@ -25,10 +33,13 @@ import numpy as np
 
 from .linalg import hermitian_eigenvalues, hermitize, partial_transpose
 from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet, is_unit_parity
-from .states import PureState, WernerState, as_matrix
+from .states import PureState, WernerState, amplitude_matrices, as_matrix, mixing_weights
 
 DEFAULT_VERDICT_TOL = 1e-9
 DATA_TOL = 1e-10
+# bytes of factor products, their conjugate and amplitude rows that one
+# chunk of the grid route holds at a time
+GRID_CHUNK_BYTES = 256 * 1024
 
 ENTANGLED = "ENTANGLED"
 UNDETECTED = "UNDETECTED"
@@ -79,16 +90,18 @@ def _trace_table(table, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _centered_moments(rho, observables, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Means and centered second moments of xi_j xi_k, or of PT_B(xi_j xi_k)
-    when transposed, by the amplitude route or else by _trace_table.  A raw
-    operator list has no B side to transpose."""
+    when transposed, by the amplitude route as a 1 x 1 grid or else by
+    _trace_table.  A raw operator list has no B side to transpose."""
     if not isinstance(observables, ObservableSet):
         if transposed:
             raise TypeError("the criterion matrix needs an ObservableSet")
         r = as_matrix(rho)
         return _trace_table(_raw_table(observables, r.shape[0]), r)
     if isinstance(rho, (PureState, WernerState)) and observables.is_local:
-        means, k = _amplitude_moments(rho, observables, transpose_b=not transposed)
-        return means, _transpose_b_pairs(k, observables.on_b) if transposed else k
+        if isinstance(rho, PureState):
+            rho = WernerState(rho, 1.0)
+        means, k = next(_amplitude_moments([rho.psi], [rho.mu], observables, transposed))
+        return means[0], k[0]
     r = as_matrix(rho)
     da, db = observables.dim_a, observables.dim_b
     if r.shape[0] != da * db:
@@ -98,13 +111,19 @@ def _centered_moments(rho, observables, transposed: bool) -> tuple[np.ndarray, n
     return _trace_table(observables.pt_tables, r)
 
 
+def _covariance_parts(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V, the real part of the centered moments of xi_j xi_k symmetrized, and
+    Omega, twice their imaginary part antisymmetrized, for each member of a
+    stack (..., N, N)."""
+    v, omega = centered.real, 2.0 * centered.imag
+    return (v + np.swapaxes(v, -1, -2)) / 2, (omega - np.swapaxes(omega, -1, -2)) / 2
+
+
 def _moments(rho, observables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Means, covariance V and commutation Omega from the centered moments of
-    xi_j xi_k, which the dense route reads from pt_tables against PT_B(rho).
-    V is their real part symmetrized, Omega = 2 Im of them antisymmetrized."""
+    xi_j xi_k, which the dense route reads from pt_tables against PT_B(rho)."""
     means, centered = _centered_moments(rho, observables, transposed=False)
-    v, omega = centered.real, 2.0 * centered.imag
-    return means, (v + v.T) / 2, (omega - omega.T) / 2
+    return (means, *_covariance_parts(centered))
 
 
 def covariance_commutation(rho, observables) -> tuple[np.ndarray, np.ndarray]:
@@ -132,46 +151,83 @@ def uncertainty_matrix(rho, observables) -> np.ndarray:
 
 def _transpose_b_pairs(k: np.ndarray, on_b: np.ndarray) -> np.ndarray:
     """The transpose rule: PT_B(xi_j xi_k) = PT_B(xi_k) PT_B(xi_j) when both
-    act on B, so entry (j,k) of such a pair takes the (k,j) value."""
-    return np.where(np.outer(on_b, on_b), k.T, k)
+    act on B, so entry (j,k) of such a pair takes the (k,j) value, in each
+    member of a stack (..., N, N)."""
+    return np.where(np.outer(on_b, on_b), np.swapaxes(k, -1, -2), k)
 
 
-def _amplitude_moments(state, obs_set, transpose_b: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Means m = mu p + (1-mu) tau and centered second moments K = E - m m^T
-    of mu |psi><psi| + (1-mu) I/D over a local set, formed as
-    K = mu G_c + (1-mu) T_c + mu (1-mu) (p - tau)(p - tau)^T.
+def _centered_gram(psis, obs_set, transpose_b: bool) -> tuple[np.ndarray, np.ndarray]:
+    """p_j = Re<psi|v_j> and the Gram matrix G_c of v_j - p_j psi for each psi
+    of psis, shapes (n_psi, N) and (n_psi, N, N).
 
-    G_c is the Gram matrix of v_j - p_j psi, v_j = a_j Psi or Psi f_j on the
-    amplitude matrix Psi, p_j = Re<psi|v_j>; f = b^T with transpose_b (the
-    raw moments), f = b for the criterion matrix.  tau and T_c are the
-    set's mixed_moments.  No means of order M are subtracted from second
-    moments of order M^2, a cancellation that at a few hundred spins per
-    side would lift rounding above the verdict tolerance.
+    v_j = a_j Psi or Psi f_j on the amplitude matrix Psi, f = b^T with
+    transpose_b and f = b without.  Each factor acts on a whole chunk of
+    stacked amplitude matrices at once; a chunk holds as many psi as keep
+    its v, the conjugate of v and its amplitude rows within GRID_CHUNK_BYTES.
+    Every psi is computed alone within its chunk, so the chunking does not
+    change a bit of the result.
     """
-    if isinstance(state, PureState):
-        state = WernerState(state, 1.0)
-    psi = state.psi
-    if (psi.dim_a, psi.dim_b) != (obs_set.dim_a, obs_set.dim_b):
-        raise ValueError(f"state dimensions {psi.dim_a}x{psi.dim_b} do not match observables "
-                         f"{obs_set.dim_a}x{obs_set.dim_b}")
-    amp = psi.amplitudes.reshape(psi.dim_a, psi.dim_b)
-    # each product is written into its slot of v: no list to stack
-    v = np.empty((len(obs_set), psi.dim_a, psi.dim_b), dtype=complex)
-    for o, on_b, out in zip(obs_set, obs_set.on_b, v):
-        if on_b:
-            np.matmul(amp, o.matrix.T if transpose_b else o.matrix, out=out)
-        else:
-            np.matmul(o.matrix, amp, out=out)
-    v = v.reshape(len(obs_set), -1)
-    p = (v @ psi.amplitudes.conj()).real
-    v -= p[:, None] * psi.amplitudes
-    mu = state.mu
+    da, db = obs_set.dim_a, obs_set.dim_b
+    n = len(obs_set)
+    factors = [o.matrix.T if on_b and transpose_b else o.matrix
+               for o, on_b in zip(obs_set, obs_set.on_b)]
+    chunk = max(1, GRID_CHUNK_BYTES // ((2 * n + 1) * da * db * 16))
+    p = np.empty((len(psis), n))
+    g_c = np.empty((len(psis), n, n), dtype=complex)
+    for start in range(0, len(psis), chunk):
+        mats = amplitude_matrices(psis[start:start + chunk])
+        if mats.shape[1:] != (da, db):
+            raise ValueError(f"state dimensions {mats.shape[1]}x{mats.shape[2]} do not match "
+                             f"observables {da}x{db}")
+        amps = mats.reshape(len(mats), -1)
+        # each product is written into its slot of v: no list to stack
+        v = np.empty((len(amps), n, da, db), dtype=complex)
+        for j, (f, on_b) in enumerate(zip(factors, obs_set.on_b)):
+            if on_b:
+                np.matmul(mats, f, out=v[:, j])
+            else:
+                np.matmul(f, mats, out=v[:, j])
+        v = v.reshape(len(amps), n, -1)
+        rows = slice(start, start + len(amps))
+        p[rows] = np.matmul(v, amps.conj()[:, :, None])[:, :, 0].real
+        # the outer products p psi^T as a matmul: a broadcast product would
+        # hold numpy's iteration buffers, twice the size of v, on top of it
+        v -= np.matmul(p[rows, :, None].astype(complex), amps[:, None, :])
+        np.matmul(v.conj(), np.swapaxes(v, -1, -2), out=g_c[rows])
+    return p, g_c
+
+
+def _amplitude_moments(psis, mus, obs_set, transposed: bool):
+    """For each mu of mus in turn, the means m = mu p + (1-mu) tau and
+    centered second moments K = E - m m^T of mu |psi><psi| + (1-mu) I/D over
+    a local set, for every psi of psis, shapes (n_psi, N) and (n_psi, N, N),
+    formed as K = mu G_c + (1-mu) T_c + mu (1-mu) (p - tau)(p - tau)^T
+    from each psi's one p and G_c (_centered_gram), which are built before
+    the first mu is yielded.
+
+    Without transposed these are the moments of xi_j xi_k, with the B
+    factors transposed; with it those of PT_B(xi_j xi_k), B-B pairs read
+    transposed.  tau and T_c are the set's mixed_moments.  No means of
+    order M are subtracted from second moments of order M^2, a cancellation
+    that at a few hundred spins per side would lift rounding above the
+    verdict tolerance.  One mu at a time, because a product broadcast over
+    the whole grid would hold numpy's iteration buffers, larger than the
+    grid itself.
+    """
+    mus = mixing_weights(mus)
+    p, g_c = _centered_gram(psis, obs_set, transpose_b=not transposed)
     tau, t_c = obs_set.mixed_moments
     shift = p - tau
-    means = mu * p + (1.0 - mu) * tau
-    k = (mu * (v.conj() @ v.T) + (1.0 - mu) * t_c
-         + mu * (1.0 - mu) * np.outer(shift, shift))
-    return means, k
+    outer = shift[:, :, None] * shift[:, None, :]
+
+    def moments():
+        for mu in mus:
+            k = mu * g_c + (1.0 - mu) * t_c + mu * (1.0 - mu) * outer
+            if transposed:
+                k = _transpose_b_pairs(k, obs_set.on_b)
+            yield mu * p + (1.0 - mu) * tau, k
+
+    return moments()
 
 
 def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
@@ -185,6 +241,21 @@ def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
     return hermitize(_centered_moments(rho, obs_set, transposed=True)[1])
 
 
+def criterion_grid(psis, mus, obs_set: ObservableSet) -> np.ndarray:
+    """Criterion matrices of mu |psi><psi| + (1-mu) I/D for every mu of mus
+    and psi of psis (same-shape PureStates), shape (n_mu, n_psi, N, N), by
+    the amplitude route of a local set: each psi's Gram matrix is formed
+    once, whatever the number of mus.  Entry [i, j] equals
+    criterion_matrix(WernerState(psis[j], mus[i]), obs_set) bit for bit."""
+    if not obs_set.is_local:
+        raise ValueError("the grid route needs observables tagged 'A' or 'B'")
+    rows = _amplitude_moments(psis, mus, obs_set, transposed=True)
+    out = np.empty((len(mus), len(psis), len(obs_set), len(obs_set)), dtype=complex)
+    for out_mu, (_, k) in zip(out, rows):
+        out_mu[...] = hermitize(k)
+    return out
+
+
 class CriterionEvaluator:
     """criterion_matrix over one observable set; it holds only the set, as
     the tables are cached on the ObservableSet."""
@@ -194,6 +265,9 @@ class CriterionEvaluator:
 
     def matrix(self, rho) -> np.ndarray:
         return criterion_matrix(rho, self.obs_set)
+
+    def grid(self, psis, mus) -> np.ndarray:
+        return criterion_grid(psis, mus, self.obs_set)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,16 +289,24 @@ class CriterionReport:
             )
 
 
-def detect(matrix, tol: float = DEFAULT_VERDICT_TOL) -> CriterionReport:
-    """Eigenvalue test: any eigenvalue below -tol certifies entanglement; a
-    tolerance that is not finite and positive, or a matrix further from
-    Hermitian than linalg.DEFAULT_HERMITICITY_TOL, raises."""
+def detect(matrix, tol: float = DEFAULT_VERDICT_TOL) -> CriterionReport | list[CriterionReport]:
+    """Eigenvalue test: any eigenvalue below -tol certifies entanglement.
+
+    A matrix gives one CriterionReport; a stack (k, N, N) gives a list of k,
+    one per member, from one eigvalsh call.  A tolerance that is not finite
+    and positive, or a member that is not finite or is further from
+    Hermitian than linalg.DEFAULT_HERMITICITY_TOL relative to its own norm,
+    raises.
+    """
     tol = require_tolerance(tol)
-    eigs = hermitian_eigenvalues(matrix)
-    mn = float(eigs[0])
-    det = float(np.prod(eigs))
-    verdict = ENTANGLED if mn < -tol else UNDETECTED
-    return CriterionReport(eigs, mn, det, verdict, tol)
+    stacked = np.ndim(matrix) == 3
+    spectra = hermitian_eigenvalues(matrix, stacked=stacked)
+    reports = []
+    for eigs in spectra if stacked else [spectra]:
+        mn = float(eigs[0])
+        verdict = ENTANGLED if mn < -tol else UNDETECTED
+        reports.append(CriterionReport(eigs, mn, float(np.prod(eigs)), verdict, tol))
+    return reports if stacked else reports[0]
 
 
 @dataclass(frozen=True, eq=False)

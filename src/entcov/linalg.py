@@ -2,7 +2,9 @@
 
 All operations are pure functions of square numpy arrays.  Quantities that
 are Hermitian analytically are symmetrized before eigensolving so that
-floating-point rounding never produces a spurious complex spectrum.
+floating-point rounding never produces a spurious complex spectrum.  The
+Hermitian checks and the eigensolve also take a stack (k, n, n), checked
+member by member and solved in one LAPACK call.
 """
 
 from __future__ import annotations
@@ -15,42 +17,54 @@ DEFAULT_HERMITICITY_TOL = 1e-9
 class HermiticityError(ValueError):
     """A matrix expected to be Hermitian is not, beyond the tolerance."""
 
-    def __init__(self, defect: float, tol: float):
+    def __init__(self, defect: float, tol: float, member: int | None = None):
         self.defect = defect
         self.tol = tol
+        where = "" if member is None else f" (stack member {member})"
         super().__init__(
-            f"matrix is not Hermitian: relative defect {defect:.3e} exceeds {tol:.3e}"
+            f"matrix is not Hermitian{where}: relative defect {defect:.3e} exceeds {tol:.3e}"
         )
 
 
-def _as_square(m) -> np.ndarray:
+def _as_square(m, stacked: bool = False) -> np.ndarray:
+    """A finite complex square matrix, or with stacked a stack (k, n, n) of
+    them whose first non-finite member is named by its index."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not (np.isfinite(m.real).all() and np.isfinite(m.imag).all()):
-        raise ValueError("matrix contains NaN or Inf entries")
+    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
+        kind = "stack of square matrices" if stacked else "square matrix"
+        raise ValueError(f"expected a {kind}, got shape {m.shape}")
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        where = f" (stack member {int(np.argmin(finite))})" if stacked else ""
+        raise ValueError(f"matrix contains NaN or Inf entries{where}")
     return m
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2).conj()
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m†)/2."""
-    return (m + m.conj().T) / 2
+    """Hermitian part (m + m†)/2, of each member of a stack (..., n, n)."""
+    return (m + _adjoint(m)) / 2
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Frobenius distance from m to its Hermitian part, relative to ||m||."""
-    norm = np.linalg.norm(m)
-    if norm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(m - m.conj().T) / norm)
+def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
+    """Frobenius distance from m to its Hermitian part, relative to ||m||
+    (0 for m = 0); an array of them for a stack (..., n, n)."""
+    norm = np.linalg.norm(m, axis=(-2, -1))
+    return np.linalg.norm(m - _adjoint(m), axis=(-2, -1)) / np.where(norm == 0, 1, norm)
 
 
-def require_hermitian(m, tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
-    """Validate Hermiticity within tol and return the symmetrized matrix."""
-    m = _as_square(m)
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise HermiticityError(defect, tol)
+def require_hermitian(m, tol: float = DEFAULT_HERMITICITY_TOL,
+                      stacked: bool = False) -> np.ndarray:
+    """Validate Hermiticity within tol and return the symmetrized matrix; with
+    stacked, each member of a (k, n, n) stack is checked on its own scale."""
+    m = _as_square(m, stacked)
+    defects = np.atleast_1d(hermiticity_defect(m))
+    if defects.size and defects.max() > tol:
+        worst = int(np.argmax(defects))
+        raise HermiticityError(float(defects[worst]), tol, worst if stacked else None)
     return hermitize(m)
 
 
@@ -80,9 +94,11 @@ def partial_transpose(m, dim_a: int, dim_b: int, subsystem: str = "B") -> np.nda
     return t.reshape(dim_a * dim_b, dim_a * dim_b)
 
 
-def hermitian_eigenvalues(m, tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
-    """Ascending real spectrum of a Hermitian matrix."""
-    return np.linalg.eigvalsh(require_hermitian(m, tol))
+def hermitian_eigenvalues(m, tol: float = DEFAULT_HERMITICITY_TOL,
+                          stacked: bool = False) -> np.ndarray:
+    """Ascending real spectrum of a Hermitian matrix, or with stacked the
+    (k, n) spectra of a (k, n, n) stack from one eigvalsh call."""
+    return np.linalg.eigvalsh(require_hermitian(m, tol, stacked))
 
 
 def clip_psd(m: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ witnesses.
 
 The partial-transpose minimum of a PureState or a WernerState has a closed
 form in the two largest Schmidt coefficients, so the `ppt` column of a
-spin-ensemble sweep forms no D x D array; DensityMatrix and raw-array inputs
-take the dense spectrum.
+spin-ensemble sweep forms no D x D array and takes the Schmidt coefficients
+of its whole (mu, t) grid from one stacked SVD; DensityMatrix and raw-array
+inputs take the dense spectrum.
 """
 
 from __future__ import annotations
@@ -18,38 +19,50 @@ import numpy as np
 from .criterion import CriterionReport, DEFAULT_VERDICT_TOL, criterion_matrix, detect
 from .linalg import clip_psd, hermitize, kron, partial_transpose
 from .observables import ObservableSet, collective_spin_matrices, hp_quadrature_set
-from .states import DensityMatrix, PureState, WernerState, as_matrix
+from .states import (DensityMatrix, PureState, WernerState, amplitude_matrices, as_matrix,
+                     mixing_weights)
 
 
 def ppt_min_eigenvalue(rho, dim_a: int | None = None, dim_b: int | None = None) -> float:
     """Minimum eigenvalue of the partially transposed state.
 
-    A negative value certifies entanglement.  For a PureState, or a
-    WernerState rho = mu |psi><psi| + (1-mu) I/D, it is
-    -mu s1 s2 + (1-mu)/D, where s1 >= s2 are the two largest singular values
-    of the dim_a x dim_b amplitude matrix (s2 = 0 when one side has
-    dimension 1): PT(|psi><psi|) has the spectrum {s_i^2} U {+-s_i s_j, i<j},
-    padded with zeros up to D, and PT(I) = I.  A DensityMatrix or a raw
+    A negative value certifies entanglement.  A PureState or a WernerState
+    is a 1 x 1 grid of ppt_min_eigenvalue_grid.  A DensityMatrix or a raw
     matrix is partially transposed and eigensolved densely.  Dimensions are
     taken from the state when it carries them.
     """
     if isinstance(rho, PureState):
         rho = WernerState(rho, 1.0)
     if isinstance(rho, WernerState):
-        psi = rho.psi
-        s = np.linalg.svd(psi.amplitudes.reshape(psi.dim_a, psi.dim_b), compute_uv=False)
-        if s.size > 1:
-            pure_min = -s[0] * s[1]
-        else:
-            # a zero eigenvalue exists unless the state is the whole 1 x 1 space
-            pure_min = 0.0 if psi.dim > 1 else s[0] ** 2
-        return float(rho.mu * pure_min + (1.0 - rho.mu) / psi.dim)
+        return float(ppt_min_eigenvalue_grid([rho.psi], [rho.mu])[0, 0])
     if isinstance(rho, DensityMatrix):
         dim_a, dim_b = rho.dim_a, rho.dim_b
     elif dim_a is None or dim_b is None:
         raise ValueError("dim_a and dim_b are required for raw matrices")
     sigma = partial_transpose(as_matrix(rho), dim_a, dim_b, "B")
     return float(np.linalg.eigvalsh(hermitize(sigma))[0])
+
+
+def ppt_min_eigenvalue_grid(psis, mus) -> np.ndarray:
+    """Partial-transpose minimum of mu |psi><psi| + (1-mu) I/D for every mu of
+    mus and psi of psis (same-shape PureStates), shape (n_mu, n_psi).
+
+    It is -mu s1 s2 + (1-mu)/D, where s1 >= s2 are the two largest singular
+    values of the dim_a x dim_b amplitude matrix (s2 = 0 when one side has
+    dimension 1): PT(|psi><psi|) has the spectrum {s_i^2} U {+-s_i s_j, i<j},
+    padded with zeros up to D, and PT(I) = I.  The singular values of every
+    psi come from one stacked SVD.
+    """
+    mu = mixing_weights(mus)[:, None]
+    mats = amplitude_matrices(psis)
+    dim = mats.shape[1] * mats.shape[2]
+    s = np.linalg.svd(mats, compute_uv=False)
+    if s.shape[1] > 1:
+        pure_min = -s[:, 0] * s[:, 1]
+    else:
+        # a zero eigenvalue exists unless the state is the whole 1 x 1 space
+        pure_min = np.zeros(len(s)) if dim > 1 else s[:, 0] ** 2
+    return mu * pure_min + (1.0 - mu) / dim
 
 
 def duan_simon_report(

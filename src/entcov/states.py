@@ -40,6 +40,8 @@ class PureState:
                 f"amplitude vector has shape {amps.shape}, "
                 f"expected ({self.dim_a * self.dim_b},)"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitude vector contains NaN or Inf entries")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
@@ -73,6 +75,8 @@ class DensityMatrix:
         d = self.dim_a * self.dim_b
         if m.shape != (d, d):
             raise ValueError(f"matrix has shape {m.shape}, expected ({d}, {d})")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix contains NaN or Inf entries")
         defect = hermiticity_defect(m)
         if defect > STATE_HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
@@ -114,6 +118,26 @@ class WernerState:
 
     def density(self) -> DensityMatrix:
         return werner_mix(self.psi, self.mu)
+
+
+def mixing_weights(mus) -> np.ndarray:
+    """A grid's Werner mixing weights as a 1-D float array, each in [0, 1]."""
+    mus = np.asarray(mus, dtype=float)
+    if mus.ndim != 1 or not np.all((mus >= 0.0) & (mus <= 1.0)):
+        raise ValueError(f"mixing parameters must be a list inside [0, 1], got {mus}")
+    return mus
+
+
+def amplitude_matrices(psis) -> np.ndarray:
+    """The dim_a x dim_b amplitude matrices of a non-empty list of PureStates
+    that share one shape, stacked as (n, dim_a, dim_b)."""
+    shapes = {(psi.dim_a, psi.dim_b) if isinstance(psi, PureState) else None for psi in psis}
+    if None in shapes:
+        raise ValueError("grid states must be PureStates")
+    if len(shapes) != 1:
+        raise ValueError(f"grid states must share one shape, got {sorted(shapes)}")
+    (da, db), = shapes
+    return np.array([psi.amplitudes for psi in psis]).reshape(-1, da, db)
 
 
 def as_matrix(state) -> np.ndarray:
@@ -178,17 +202,32 @@ def product_state(amps_a, amps_b) -> PureState:
 
 
 def szsz_evolve(state: PureState, t: float) -> PureState:
-    """Apply exp(i S^z_A S^z_B t) in the joint Dicke basis.
+    """Apply exp(i S^z_A S^z_B t) in the joint Dicke basis: one time of
+    szsz_evolve_grid."""
+    return szsz_evolve_grid(state, [t])[0]
+
+
+def szsz_evolve_grid(state: PureState, ts) -> list[PureState]:
+    """exp(i S^z_A S^z_B t) applied for each t of ts, in the joint Dicke basis.
 
     The amplitude at (j, k) picks up the phase exp(i (M-2j)(M-2k) t), so the
-    norm is preserved exactly.
+    norm is preserved exactly.  The evolved amplitudes of every t fill one
+    (len(ts), D) array in place, a row at a time (a broadcast over all rows
+    would hold numpy's 128 KB iteration buffers as well), and each evolved
+    state is a row of it that passes the PureState checks on its own.
     """
     if state.dim_a != state.dim_b:
         raise ValueError("ensembles must have equal dimension")
     m = state.dim_a - 1
     sz = (m - 2 * np.arange(m + 1)).astype(float)
-    phase = np.exp(1j * t * np.outer(sz, sz)).ravel()
-    return PureState(state.dim_a, state.dim_b, state.amplitudes * phase)
+    phase = np.outer(sz, sz).ravel()
+    ts = np.asarray(ts, dtype=float).ravel()
+    amps = np.empty((ts.size, phase.size), dtype=complex)
+    for t, row in zip(ts, amps):
+        np.multiply(1j * t, phase, out=row)
+        np.exp(row, out=row)
+        np.multiply(state.amplitudes, row, out=row)
+    return [PureState(state.dim_a, state.dim_b, a) for a in amps]
 
 
 def spin_ensemble_state(m: int, t: float) -> PureState:

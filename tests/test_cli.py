@@ -133,6 +133,51 @@ class TestSpinEnsemble:
         assert main(argv) == 0
         assert calls == [20]
 
+    def test_region_map_batches_svd_and_gram(self, tmp_path, monkeypatch):
+        # one SVD per sweep, and every psi's Gram matrix built once whatever
+        # the number of mu steps
+        import entcov.criterion
+
+        svd_calls, gram_states = [], []
+        svd, gram = np.linalg.svd, entcov.criterion._centered_gram
+
+        def counting_svd(a, *args, **kwargs):
+            svd_calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def counting_gram(psis, *args, **kwargs):
+            gram_states.append(len(psis))
+            return gram(psis, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(entcov.criterion, "_centered_gram", counting_gram)
+        for mu_steps in ("6", "2"):
+            svd_calls.clear()
+            gram_states.clear()
+            argv = ["spin-ensemble", "--m", "20", "--mu-min", "0", "--mu-max", "1",
+                    "--mu-steps", mu_steps, "--t-steps", "31", "--t-max", "0.3",
+                    "--criteria", "cm,ppt", "--out", str(tmp_path / "r.csv")]
+            assert main(argv) == 0
+            assert svd_calls == [(31, 21, 21)]
+            assert gram_states == [31]
+
+    def test_region_map_memory_within_former_peak(self, tmp_path):
+        # the map before the grid route peaked at 642 KB traced (643.8, 643.0
+        # and 641.8 KB in three warm calls); the bound is set below that, not
+        # fitted to the grid route
+        argv = ["spin-ensemble", "--m", "20", "--mu-min", "0", "--mu-max", "1",
+                "--mu-steps", "6", "--t-steps", "31", "--t-max", "0.3",
+                "--criteria", "cm,ppt", "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 0  # warm: first-call caches are not the sweep's memory
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 640e3
+
     def test_config_keys(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["spin-ensemble", "--m", "2", "--t-steps", "2", "--out", str(out)]) == 0

@@ -18,12 +18,13 @@ from entcov.criterion import (
     correlation_data_from_state,
     covariance_commutation,
     covariance_matrix,
+    criterion_grid,
     criterion_matrix,
     criterion_matrix_from_data,
     detect,
     uncertainty_matrix,
 )
-from entcov.criterion import _moments
+from entcov.criterion import GRID_CHUNK_BYTES, _amplitude_moments, _covariance_parts, _moments
 from entcov.linalg import HermiticityError, partial_transpose
 from entcov.observables import (
     Observable,
@@ -444,6 +445,82 @@ def test_werner_route_matches_dense_route(seed, dims, n_a, n_b, mu):
     assert np.abs(fast - dense).max() <= 1e-12 * max(1.0, np.linalg.norm(dense, 2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 3), (3, 2)]),
+    n_a=st.integers(0, 3),
+    n_b=st.integers(0, 3),
+    n_psi=st.integers(1, 4),
+    mus=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+)
+def test_grid_route_matches_dense_route(seed, dims, n_a, n_b, n_psi, mus):
+    # every (mu, psi) cell of the grid against the dense route on werner_mix
+    assume(n_a + n_b >= 1)
+    rng = np.random.default_rng(seed)
+    da, db = dims
+    members = [
+        Observable(f"a{i}", oracles.random_hermitian(rng, da), "A") for i in range(n_a)
+    ] + [
+        Observable(f"b{i}", oracles.random_hermitian(rng, db), "B") for i in range(n_b)
+    ]
+    order = rng.permutation(len(members))
+    obs_set = ObservableSet(tuple(members[i] for i in order), da, db)
+    psis = [PureState(da, db, oracles.random_pure(rng, da * db)) for _ in range(n_psi)]
+    grid = criterion_grid(psis, mus, obs_set)
+    moments = [_covariance_parts(k) for _, k in _amplitude_moments(psis, mus, obs_set, False)]
+    assert grid.shape == (len(mus), n_psi, len(obs_set), len(obs_set))
+    for i, mu in enumerate(mus):
+        v_grid, omega_grid = moments[i]
+        for j, psi in enumerate(psis):
+            rho = werner_mix(psi, mu)
+            c = criterion_matrix(rho, obs_set)
+            v, omega = covariance_commutation(rho, obs_set)
+            bound = 1e-12 * max(1.0, np.linalg.norm(c, 2))
+            assert np.abs(grid[i, j] - c).max() <= bound
+            assert np.abs(v_grid[j] - v).max() <= bound
+            assert np.abs(omega_grid[j] - omega).max() <= bound
+
+
+def test_grid_chunks_change_no_bit():
+    # M = 20 holds a few psi per chunk; cells on both sides of each chunk
+    # boundary must equal the single-state calls bit for bit
+    spin = collective_spin_set(20)
+    per_psi = (2 * len(spin) + 1) * spin.dim_a * spin.dim_b * 16
+    chunk = GRID_CHUNK_BYTES // per_psi
+    assert chunk >= 1
+    ts = np.linspace(0.0, 0.3, 2 * chunk + 1)
+    psis = [spin_ensemble_state(20, t) for t in ts]
+    mus = [0.3, 1.0]
+    grid = criterion_grid(psis, mus, spin)
+    evaluator = CriterionEvaluator(spin)
+    assert np.array_equal(evaluator.grid(psis, mus), grid)
+    for i, mu in enumerate(mus):
+        for j, psi in enumerate(psis):
+            single = criterion_matrix(WernerState(psi, mu), spin)
+            assert grid[i, j].tobytes() == single.tobytes()
+    assert evaluator.matrix(psis[chunk]).tobytes() == grid[1, chunk].tobytes()
+
+
+class TestGridInputs:
+    def test_rejects_mixing_weight_outside_unit_interval(self):
+        spin = collective_spin_set(2)
+        with pytest.raises(ValueError, match="mixing parameters"):
+            criterion_grid([spin_ensemble_state(2, 0.1)], [0.5, 1.5], spin)
+
+    def test_rejects_states_of_another_shape(self):
+        spin = collective_spin_set(2)
+        with pytest.raises(ValueError, match="share one shape"):
+            criterion_grid([spin_ensemble_state(2, 0.1), spin_ensemble_state(3, 0.1)],
+                           [1.0], spin)
+        with pytest.raises(ValueError, match="do not match observables"):
+            criterion_grid([spin_ensemble_state(3, 0.1)], [1.0], spin)
+
+    def test_rejects_a_joint_set(self):
+        with pytest.raises(ValueError, match="tagged 'A' or 'B'"):
+            criterion_grid([bell_state()], [1.0], pauli_product_set())
+
+
 def _definite_parity_factor(rng, dim, odd):
     """Real symmetric (transpose parity +1) or purely imaginary
     antisymmetric (parity -1) Hermitian factor."""
@@ -528,6 +605,32 @@ class TestDetect:
     def test_rejects_tolerance_not_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             detect(np.eye(2), tol)
+
+    def test_stack_reports_equal_single_reports(self, rng):
+        stack = np.array([oracles.random_hermitian(rng, 5) for _ in range(6)]
+                         + [np.eye(5)])
+        reports = detect(stack, 1e-3)
+        assert len(reports) == 7
+        for m, report in zip(stack, reports):
+            single = detect(m, 1e-3)
+            assert report.eigenvalues.tobytes() == single.eigenvalues.tobytes()
+            assert report.min_eigenvalue == single.min_eigenvalue
+            assert report.determinant == single.determinant
+            assert report.verdict == single.verdict
+            assert report.tolerance == single.tolerance
+        assert reports[-1].verdict == UNDETECTED
+
+    def test_stack_with_non_hermitian_member_rejected(self, rng):
+        stack = np.array([oracles.random_hermitian(rng, 3) for _ in range(4)])
+        stack[2, 0, 1] += 0.5
+        with pytest.raises(HermiticityError, match="stack member 2"):
+            detect(stack)
+
+    def test_stack_with_nan_member_rejected(self, rng):
+        stack = np.array([oracles.random_hermitian(rng, 3) for _ in range(4)])
+        stack[3, 1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"NaN or Inf entries \(stack member 3\)"):
+            detect(stack)
 
     def test_report_verdict_consistency_enforced(self):
         with pytest.raises(ValueError, match="inconsistent"):

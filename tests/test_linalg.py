@@ -94,6 +94,15 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(m)
         assert info.value.defect > 0
 
+    def test_stack_member_checked_on_its_own_scale(self, rng):
+        # a defect of 1e-6 on a unit member is hidden by a large neighbour's norm
+        # in a whole-stack norm; each member is measured against its own
+        stack = np.array([1e6 * oracles.random_hermitian(rng, 3),
+                          oracles.random_hermitian(rng, 3)])
+        stack[1, 0, 1] += 1e-6
+        with pytest.raises(HermiticityError, match="stack member 1"):
+            hermitian_eigenvalues(stack, stacked=True)
+
     def test_symmetrizes_rounding_noise(self, rng):
         m = oracles.random_hermitian(rng, 5)
         noisy = m + 1e-13 * rng.standard_normal((5, 5))

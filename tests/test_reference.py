@@ -11,6 +11,7 @@ from entcov.reference import (
     decomposable_split,
     duan_simon_report,
     ppt_min_eigenvalue,
+    ppt_min_eigenvalue_grid,
     witness_operator,
     witness_optimize,
 )
@@ -83,6 +84,21 @@ def test_closed_form_ppt_matches_dense_oracle(seed, dims, mu):
     for state, weight in ((WernerState(psi, mu), mu), (psi, 1.0)):
         sigma = oracles.partial_transpose_loops(werner_mix(psi, weight).matrix, da, db)
         assert abs(ppt_min_eigenvalue(state) - np.linalg.eigvalsh(sigma)[0]) <= 1e-12
+
+
+class TestPptGrid:
+    def test_cells_equal_single_state_calls(self):
+        psis = [spin_ensemble_state(20, t) for t in np.linspace(0.0, 0.3, 7)]
+        mus = [0.0, 0.45, 1.0]
+        grid = ppt_min_eigenvalue_grid(psis, mus)
+        assert grid.shape == (3, 7)
+        for i, mu in enumerate(mus):
+            for j, psi in enumerate(psis):
+                assert grid[i, j] == ppt_min_eigenvalue(WernerState(psi, mu))
+
+    def test_rejects_states_of_another_shape(self):
+        with pytest.raises(ValueError, match="share one shape"):
+            ppt_min_eigenvalue_grid([spin_ensemble_state(2, 0.1), bell_state()], [1.0])
 
 
 class TestDuanSimon:

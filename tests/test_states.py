@@ -19,6 +19,7 @@ from entcov.states import (
     spin_coherent_x,
     spin_ensemble_state,
     szsz_evolve,
+    szsz_evolve_grid,
     werner_mix,
 )
 
@@ -33,6 +34,11 @@ class TestPureState:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             PureState(2, 2, np.array([1.0, 0, 0]))
+
+    def test_rejects_non_finite_amplitudes(self):
+        # a NaN norm fails no tolerance comparison, so it is rejected by name
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            PureState(2, 2, np.array([np.nan, 0, 0, 0]))
 
     def test_density_round_trip(self, rng):
         psi = oracles.random_pure(rng, 6)
@@ -50,6 +56,12 @@ class TestDensityMatrix:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(2, 2, np.eye(4, dtype=complex))
+
+    def test_rejects_non_finite_entries(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            DensityMatrix(2, 2, m)
 
     def test_validate_flags_negative_eigenvalue(self):
         m = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
@@ -184,3 +196,11 @@ class TestSzszEvolve:
         state = product_state(spin_coherent_x(2), spin_coherent_x(3))
         with pytest.raises(ValueError):
             szsz_evolve(state, 0.1)
+
+    def test_grid_rows_equal_single_times(self):
+        state = product_state(spin_coherent_x(20), spin_coherent_x(20))
+        ts = np.linspace(-0.3, 0.5, 17)
+        grid = szsz_evolve_grid(state, ts)
+        assert len(grid) == len(ts)
+        for t, evolved in zip(ts, grid):
+            assert evolved.amplitudes.tobytes() == szsz_evolve(state, t).amplitudes.tobytes()
