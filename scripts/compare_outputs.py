@@ -12,13 +12,14 @@ columns whose name contains "eig"); a determinant column is measured
 relative to its own cell instead, a product of eigenvalues having another
 scale, and so is every column of a file without eigenvalue columns.  For
 each text file (the uncertainty-suite report) it lists every line that
-differs.  Exits 1 if a file is missing from one side, a CSV verdict, flip
-comment, header or row count differs, a numeric column other than a
-determinant moves by more than REL_TOL (1e-12) of its scale, or a text
-file's line count or a line's [PASS]/[FAIL] tag differs; 0 otherwise.  A
-determinant may move further: one built from analytically zero
-eigenvalues is rounding noise.  Uses numpy and the standard library only,
-so it reads outputs of any version of the package.
+differs.  Exits 1 if a file is missing from one side, a CSV config line
+differs in anything but `out`, a CSV verdict, flip comment, header or row
+count differs, a numeric column other than a determinant moves by more
+than REL_TOL (1e-12) of its scale, or a text file's line count or a line's
+[PASS]/[FAIL] tag differs; 0 otherwise.  A determinant may move further:
+one built from analytically zero eigenvalues is rounding noise.  Uses
+numpy and the standard library only, so it reads outputs of any version
+of the package.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ def compare(old: Path, new: Path) -> bool:
     """Print the report for one file pair; True when nothing fatal differs."""
     cfg_a, com_a, head_a, lines_a, rows_a = parse(old)
     cfg_b, com_b, head_b, lines_b, rows_b = parse(new)
+    config_same = _settings(cfg_a) == _settings(cfg_b)
     print(f"  data rows byte-identical: {lines_a == lines_b}")
-    print(f"  config identical apart from out: {_settings(cfg_a) == _settings(cfg_b)}")
+    print(f"  config identical apart from out: {config_same}")
     if head_a != head_b or len(rows_a) != len(rows_b):
         print(f"  header or row count differs: {len(rows_a)} rows against {len(rows_b)}")
         return False
@@ -102,7 +104,7 @@ def compare(old: Path, new: Path) -> bool:
             line += f"  <- beyond {REL_TOL:g}"
             values_close = False
         print(line)
-    return verdicts_same and com_a == com_b and values_close
+    return config_same and verdicts_same and com_a == com_b and values_close
 
 
 def _tag(line: str) -> str | None:

@@ -25,8 +25,9 @@ from .criterion import (
     ENTANGLED,
     UNDETECTED,
     CorrelationData,
-    CriterionEvaluator,
     DataValidationError,
+    criterion_grid,
+    criterion_matrix,
     criterion_matrix_from_data,
     detect,
     require_tolerance,
@@ -51,6 +52,8 @@ CRITERIA = ("cm", "ds", "ppt", "ew")
 
 def _check_grid(name: str, grid: tuple[float, float, int]):
     lo, hi, steps = grid
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"{name} grid bounds must be finite, got min {lo} and max {hi}")
     if steps < 1:
         raise ValueError(f"{name} grid needs at least 1 step")
     if lo > hi:
@@ -133,14 +136,14 @@ def _write_csv(out, config: dict, comments, columns, rows):
 
 def run_werner_bell(cfg: SweepConfig) -> int:
     """Eigenvalue sweep of the two-qubit Werner mixture of the Bell state."""
-    evaluator = CriterionEvaluator(pauli_product_set())
+    obs_set = pauli_product_set()
     bell = bell_state()
     mus = np.linspace(*cfg.mu_grid)
     columns = ["mu", "eig_1", "eig_2", "eig_3", "det", "verdict"]
     rows = []
     flags = []
     for mu in mus:
-        report = detect(evaluator.matrix(werner_mix(bell, mu)), cfg.tolerance)
+        report = detect(criterion_matrix(werner_mix(bell, mu), obs_set), cfg.tolerance)
         rows.append(
             [_fmt(mu), *(_fmt(e) for e in report.eigenvalues),
              _fmt(report.determinant), report.verdict]
@@ -162,7 +165,7 @@ def _require_witness_dim(m: int):
         )
 
 
-def _ensemble_grid(cfg: EnsembleConfig, evaluators: dict, mus, ts):
+def _ensemble_grid(cfg: EnsembleConfig, obs_sets: dict, mus, ts):
     """Reports per criterion, PPT minima and witness results over the
     (mu, t) grid, each in row order (mu major).
 
@@ -177,8 +180,9 @@ def _ensemble_grid(cfg: EnsembleConfig, evaluators: dict, mus, ts):
     states = szsz_evolve_grid(product_state(coherent, coherent), ts)
     ppt = ppt_min_eigenvalue_grid(states, mus).ravel() if "ppt" in cfg.criteria else None
     reports = {
-        name: [r for row in evaluator.grid(states, mus) for r in detect(row, cfg.tolerance)]
-        for name, evaluator in evaluators.items()
+        name: [r for row in criterion_grid(states, mus, obs_set)
+               for r in detect(row, cfg.tolerance)]
+        for name, obs_set in obs_sets.items()
     }
     ew_results = None
     if "ew" in cfg.criteria:
@@ -206,11 +210,11 @@ def run_spin_ensemble(cfg: EnsembleConfig) -> int:
     spin = collective_spin_set(cfg.m)
     if cfg.rotate is not None:
         spin = rotate_so3(spin, np.asarray(cfg.rotate, dtype=float).reshape(3, 3))
-    evaluators = {}
+    obs_sets = {}
     if "cm" in cfg.criteria:
-        evaluators["cm"] = CriterionEvaluator(spin)
+        obs_sets["cm"] = spin
     if "ds" in cfg.criteria:
-        evaluators["ds"] = CriterionEvaluator(hp_quadrature_set(cfg.m, spin_set=spin))
+        obs_sets["ds"] = hp_quadrature_set(cfg.m, spin_set=spin)
 
     mus = np.linspace(*cfg.mu_grid)
     ts = np.linspace(*cfg.t_grid)
@@ -224,7 +228,7 @@ def run_spin_ensemble(cfg: EnsembleConfig) -> int:
     if "ew" in cfg.criteria:
         columns += ["ew_min_expectation", "ew_residual"]
 
-    reports, ppt, ew_results = _ensemble_grid(cfg, evaluators, mus, ts)
+    reports, ppt, ew_results = _ensemble_grid(cfg, obs_sets, mus, ts)
     rows = []
     for index, (mu, t) in enumerate(itertools.product(mus, ts)):
         row = [_fmt(mu), _fmt(t)]

@@ -18,7 +18,8 @@ Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list traces a per-call
 table of its own products.
 
 detect eigensolves one criterion matrix, or a stack of them in one call
-with one report per member.
+with one report per member.  A CriterionReport holds the spectrum and the
+tolerance only, and derives its minimum, determinant and verdict from them.
 
 criterion_matrix_from_data rebuilds the criterion matrix from measured
 correlations of local operators with definite transpose parity: the
@@ -257,8 +258,9 @@ def criterion_grid(psis, mus, obs_set: ObservableSet) -> np.ndarray:
 
 
 class CriterionEvaluator:
-    """criterion_matrix over one observable set; it holds only the set, as
-    the tables are cached on the ObservableSet."""
+    """criterion_matrix over one observable set, which is all it holds.  The
+    sweeps call criterion_matrix and criterion_grid directly; only the
+    benchmark's set-up (bench/workloads.py) still builds one."""
 
     def __init__(self, obs_set: ObservableSet):
         self.obs_set = obs_set
@@ -266,27 +268,27 @@ class CriterionEvaluator:
     def matrix(self, rho) -> np.ndarray:
         return criterion_matrix(rho, self.obs_set)
 
-    def grid(self, psis, mus) -> np.ndarray:
-        return criterion_grid(psis, mus, self.obs_set)
-
 
 @dataclass(frozen=True, eq=False)
 class CriterionReport:
-    """Spectrum summary and verdict for one Hermitian criterion matrix."""
+    """Ascending spectrum of one Hermitian criterion matrix and the verdict
+    tolerance; the minimum, the determinant (the spectrum's product) and the
+    verdict are read from them, so a report cannot disagree with itself."""
 
     eigenvalues: np.ndarray
-    min_eigenvalue: float
-    determinant: float
-    verdict: str
     tolerance: float
 
-    def __post_init__(self):
-        expected = ENTANGLED if self.min_eigenvalue < -self.tolerance else UNDETECTED
-        if self.verdict != expected:
-            raise ValueError(
-                f"verdict {self.verdict!r} inconsistent with min eigenvalue "
-                f"{self.min_eigenvalue} at tolerance {self.tolerance}"
-            )
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.eigenvalues[0])
+
+    @property
+    def determinant(self) -> float:
+        return float(np.prod(self.eigenvalues))
+
+    @property
+    def verdict(self) -> str:
+        return ENTANGLED if self.min_eigenvalue < -self.tolerance else UNDETECTED
 
 
 def detect(matrix, tol: float = DEFAULT_VERDICT_TOL) -> CriterionReport | list[CriterionReport]:
@@ -301,11 +303,7 @@ def detect(matrix, tol: float = DEFAULT_VERDICT_TOL) -> CriterionReport | list[C
     tol = require_tolerance(tol)
     stacked = np.ndim(matrix) == 3
     spectra = hermitian_eigenvalues(matrix, stacked=stacked)
-    reports = []
-    for eigs in spectra if stacked else [spectra]:
-        mn = float(eigs[0])
-        verdict = ENTANGLED if mn < -tol else UNDETECTED
-        reports.append(CriterionReport(eigs, mn, float(np.prod(eigs)), verdict, tol))
+    reports = [CriterionReport(eigs, tol) for eigs in (spectra if stacked else [spectra])]
     return reports if stacked else reports[0]
 
 

@@ -2,9 +2,10 @@
 
 All operations are pure functions of square numpy arrays.  Quantities that
 are Hermitian analytically are symmetrized before eigensolving so that
-floating-point rounding never produces a spurious complex spectrum.  The
-Hermitian checks and the eigensolve also take a stack (k, n, n), checked
-member by member and solved in one LAPACK call.
+floating-point rounding never produces a spurious complex spectrum, and
+every Hermiticity check holds the relative defect to DEFAULT_HERMITICITY_TOL.
+The Hermitian checks and the eigensolve also take a stack (k, n, n),
+checked member by member and solved in one LAPACK call.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ DEFAULT_HERMITICITY_TOL = 1e-9
 
 
 class HermiticityError(ValueError):
-    """A matrix expected to be Hermitian is not, beyond the tolerance."""
+    """A matrix expected to be Hermitian is not, beyond DEFAULT_HERMITICITY_TOL."""
 
-    def __init__(self, defect: float, tol: float, member: int | None = None):
+    def __init__(self, defect: float, member: int | None = None):
         self.defect = defect
-        self.tol = tol
         where = "" if member is None else f" (stack member {member})"
-        super().__init__(
-            f"matrix is not Hermitian{where}: relative defect {defect:.3e} exceeds {tol:.3e}"
-        )
+        super().__init__(f"matrix is not Hermitian{where}: relative defect {defect:.3e} "
+                         f"exceeds {DEFAULT_HERMITICITY_TOL:.3e}")
 
 
 def _as_square(m, stacked: bool = False) -> np.ndarray:
@@ -56,15 +55,14 @@ def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
     return np.linalg.norm(m - _adjoint(m), axis=(-2, -1)) / np.where(norm == 0, 1, norm)
 
 
-def require_hermitian(m, tol: float = DEFAULT_HERMITICITY_TOL,
-                      stacked: bool = False) -> np.ndarray:
-    """Validate Hermiticity within tol and return the symmetrized matrix; with
+def require_hermitian(m, stacked: bool = False) -> np.ndarray:
+    """m symmetrized, checked Hermitian within DEFAULT_HERMITICITY_TOL; with
     stacked, each member of a (k, n, n) stack is checked on its own scale."""
     m = _as_square(m, stacked)
     defects = np.atleast_1d(hermiticity_defect(m))
-    if defects.size and defects.max() > tol:
+    if defects.size and defects.max() > DEFAULT_HERMITICITY_TOL:
         worst = int(np.argmax(defects))
-        raise HermiticityError(float(defects[worst]), tol, worst if stacked else None)
+        raise HermiticityError(float(defects[worst]), worst if stacked else None)
     return hermitize(m)
 
 
@@ -94,11 +92,10 @@ def partial_transpose(m, dim_a: int, dim_b: int, subsystem: str = "B") -> np.nda
     return t.reshape(dim_a * dim_b, dim_a * dim_b)
 
 
-def hermitian_eigenvalues(m, tol: float = DEFAULT_HERMITICITY_TOL,
-                          stacked: bool = False) -> np.ndarray:
+def hermitian_eigenvalues(m, stacked: bool = False) -> np.ndarray:
     """Ascending real spectrum of a Hermitian matrix, or with stacked the
     (k, n) spectra of a (k, n, n) stack from one eigvalsh call."""
-    return np.linalg.eigvalsh(require_hermitian(m, tol, stacked))
+    return np.linalg.eigvalsh(require_hermitian(m, stacked))
 
 
 def clip_psd(m: np.ndarray) -> np.ndarray:
@@ -107,11 +104,6 @@ def clip_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
-def psd_project(m, tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
+def psd_project(m) -> np.ndarray:
     """Nearest positive-semidefinite matrix in Frobenius norm (eigenvalue clip)."""
-    return hermitize(clip_psd(require_hermitian(m, tol)))
-
-
-def hermitian_determinant(m, tol: float = DEFAULT_HERMITICITY_TOL) -> float:
-    """Determinant of a Hermitian matrix as the product of its real eigenvalues."""
-    return float(np.prod(hermitian_eigenvalues(m, tol)))
+    return hermitize(clip_psd(require_hermitian(m)))

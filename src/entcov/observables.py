@@ -66,6 +66,8 @@ class Observable:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"observable {self.label!r} is not a square matrix")
+        if not np.isfinite(m).all():
+            raise ValueError(f"observable {self.label!r} contains NaN or Inf entries")
         object.__setattr__(self, "matrix", m)
 
 
@@ -259,6 +261,8 @@ def rotate_so3(obs_set: ObservableSet, r) -> ObservableSet:
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("rotation matrix contains NaN or Inf entries")
     if np.linalg.norm(r.T @ r - np.eye(3)) > ORTHOGONALITY_TOL:
         raise ValueError("rotation matrix is not orthogonal")
     members = []

@@ -98,10 +98,12 @@ class AnnealParams:
     box_scale: float = 10.0
 
     def __post_init__(self):
-        if self.t0 <= 0 or not 0.0 < self.decay < 1.0:
-            raise ValueError("temperature schedule requires t0 > 0 and 0 < decay < 1")
-        if self.sweeps < 1 or self.box_scale <= 0:
-            raise ValueError("sweeps and box_scale must be positive")
+        for name, value, top in (("t0", self.t0, np.inf), ("decay", self.decay, 1.0),
+                                 ("box_scale", self.box_scale, np.inf)):
+            if not 0.0 < value < top:  # NaN fails this test
+                raise ValueError(f"{name} must lie in (0, {top}), got {value}")
+        if self.sweeps < 1:
+            raise ValueError(f"sweeps must be positive, got {self.sweeps}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -117,7 +117,10 @@ class WernerState:
         object.__setattr__(self, "mu", mu)
 
     def density(self) -> DensityMatrix:
-        return werner_mix(self.psi, self.mu)
+        d = self.psi.dim
+        m = self.mu * np.outer(self.psi.amplitudes, self.psi.amplitudes.conj())
+        m[np.diag_indices(d)] += (1.0 - self.mu) / d
+        return DensityMatrix(self.psi.dim_a, self.psi.dim_b, m)
 
 
 def mixing_weights(mus) -> np.ndarray:
@@ -163,13 +166,8 @@ def bell_state() -> PureState:
 
 
 def werner_mix(psi: PureState, mu: float) -> DensityMatrix:
-    """Convex mixture (1-mu)/D * identity + mu |psi><psi|."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mixing parameter mu={mu} outside [0, 1]")
-    d = psi.dim
-    m = mu * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    m[np.diag_indices(d)] += (1.0 - mu) / d
-    return DensityMatrix(psi.dim_a, psi.dim_b, m)
+    """Convex mixture (1-mu)/D * identity + mu |psi><psi| as a dense matrix."""
+    return WernerState(psi, mu).density()
 
 
 def spin_coherent_x(m: int) -> np.ndarray:

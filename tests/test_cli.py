@@ -89,11 +89,11 @@ class TestSpinEnsemble:
     @pytest.mark.parametrize("rotate", [False, True])
     def test_criteria_sweep_builds_no_dense_state(self, tmp_path, monkeypatch, rotate):
         def refuse(*args, **kwargs):
-            raise AssertionError("werner_mix called by a cm,ds,ppt sweep")
+            raise AssertionError("dense Werner state built by a cm,ds,ppt sweep")
 
-        # the states module's binding is what WernerState.density() calls
+        # werner_mix and as_matrix both build through WernerState.density()
         monkeypatch.setattr("entcov.cli.werner_mix", refuse)
-        monkeypatch.setattr("entcov.states.werner_mix", refuse)
+        monkeypatch.setattr("entcov.states.WernerState.density", refuse)
         argv = ["spin-ensemble", "--m", "3", "--mu-min", "0.5", "--mu-steps", "2",
                 "--t-steps", "5", "--criteria", "cm,ds,ppt", "--out", str(tmp_path / "s.csv")]
         if rotate:
@@ -366,6 +366,42 @@ class TestTolerance:
         assert main([*command, f"--tol={tol}", "--out", str(out)]) == 2
         assert not out.exists() and not calls
         assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+
+class TestNonFiniteInputs:
+    """A NaN or Inf setting is rejected by name before any output is written."""
+
+    @pytest.mark.parametrize("command, message", [
+        (["werner-bell", "--mu-min", "nan"], "mu grid bounds must be finite"),
+        (["spin-ensemble", "--m", "2", "--t-max", "nan"], "t grid bounds must be finite"),
+        (["spin-ensemble", "--m", "2", "--t-max", "inf"], "t grid bounds must be finite"),
+    ])
+    def test_grid_bound(self, tmp_path, capsys, command, message):
+        out = tmp_path / "x.csv"
+        assert main([*command, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("criteria", ["ds", "cm"])
+    def test_rotation(self, tmp_path, capsys, criteria):
+        # ds alone would otherwise write NaN, which is not JSON, into the config line
+        out = tmp_path / "x.csv"
+        argv = ["spin-ensemble", "--m", "2", "--t-steps", "2", "--criteria", criteria,
+                "--rotate", "nan", "0", "0", "0", "1", "0", "0", "0", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "rotation matrix contains NaN or Inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--t0", "nan", "t0"), ("--t0", "inf", "t0"), ("--box", "nan", "box_scale"),
+    ])
+    def test_witness_schedule(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "w.csv"
+        argv = ["witness", "--m", "1", "--sweeps", "3", flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not out.exists() and "verdict" not in captured.out
+        assert f"{name} must lie in (0, inf), got {value}" in captured.err
 
 
 class TestOtherCommands:

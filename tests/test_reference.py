@@ -171,6 +171,14 @@ class TestDecomposableSplit:
             decomposable_split(np.eye(6), 2, 3)
 
 
+@pytest.fixture(scope="module")
+def entangled_run():
+    """The seed-0 FAST_ANNEAL run on the M = 2, t = 0.3 pure state, made once
+    for every test that reads it."""
+    rho = werner_mix(spin_ensemble_state(2, 0.3), 1.0)
+    return rho, witness_optimize(rho, 2, FAST_ANNEAL, seed=0)
+
+
 class TestWitnessOptimize:
     @pytest.mark.slow
     def test_maximally_mixed_floor(self):
@@ -181,15 +189,13 @@ class TestWitnessOptimize:
         assert result.min_expectation == pytest.approx(1 / d, abs=1e-12)
 
     @pytest.mark.slow
-    def test_detects_strongly_entangled_point(self):
-        rho = werner_mix(spin_ensemble_state(2, 0.3), 1.0)
-        result = witness_optimize(rho, 2, FAST_ANNEAL, seed=0)
+    def test_detects_strongly_entangled_point(self, entangled_run):
+        _, result = entangled_run
         assert result.min_expectation < -1e-3
 
     @pytest.mark.slow
-    def test_result_invariants(self):
-        rho = werner_mix(spin_ensemble_state(2, 0.3), 1.0)
-        result = witness_optimize(rho, 2, FAST_ANNEAL, seed=0)
+    def test_result_invariants(self, entangled_run):
+        rho, result = entangled_run
         assert result.coefficients[0, 0] == pytest.approx(1 / 9)
         assert result.feasibility_residual <= 1e-6
         assert result.iterations == 80 * 15
@@ -208,11 +214,14 @@ class TestWitnessOptimize:
         assert np.array_equal(a.coefficients, b.coefficients)
 
     @pytest.mark.slow
-    def test_detection_implies_npt(self):
-        # decomposable witnesses cannot detect PPT states
-        for mu, t, seed in [(1.0, 0.3, 0), (1.0, 0.15, 1), (0.9, 0.2, 2)]:
+    def test_detection_implies_npt(self, entangled_run):
+        # decomposable witnesses cannot detect PPT states; the shared run is
+        # the case (mu, t, seed) = (1.0, 0.3, 0)
+        runs = [entangled_run]
+        for mu, t, seed in [(1.0, 0.15, 1), (0.9, 0.2, 2)]:
             rho = werner_mix(spin_ensemble_state(2, t), mu)
-            result = witness_optimize(rho, 2, FAST_ANNEAL, seed=seed)
+            runs.append((rho, witness_optimize(rho, 2, FAST_ANNEAL, seed=seed)))
+        for rho, result in runs:
             if result.min_expectation < -1e-6:
                 assert ppt_min_eigenvalue(rho) < 0
 
@@ -223,6 +232,12 @@ class TestWitnessOptimize:
             AnnealParams(sweeps=0)
         with pytest.raises(ValueError):
             AnnealParams(box_scale=-1.0)
+
+    @pytest.mark.parametrize("field", ["t0", "box_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_params_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must lie in \(0, inf\)"):
+            AnnealParams(**{field: value})
 
     def test_dimension_mismatch_rejected(self):
         rho = werner_mix(bell_state(), 0.5)
