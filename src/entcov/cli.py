@@ -2,16 +2,18 @@
 file ingestion, the randomized property battery, and single witness runs.
 
 CSV files carry a '#'-prefixed header embedding the full configuration, so
-every output is reproducible from the file alone.  Verdict flips along a
-sweep axis are reported as the midpoint of the bracketing grid cells.  Exit
-codes: 0 success, 1 usage error, 2 input-validation error, 3 numerical
-failure.
+every output is reproducible from the file alone.  A spin-ensemble sweep
+evolves its states into one checked PureStateStack and forms one criterion
+grid of the spin sextet for cm and ds alike: the ds matrices are its
+quadrature block divided by 2M.  Each CSV column is formatted from one
+array.  Verdict flips along a sweep axis are reported as the midpoint of
+the bracketing grid cells.  Exit codes: 0 success, 1 usage error, 2
+input-validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +27,7 @@ from .criterion import (
     ENTANGLED,
     UNDETECTED,
     CorrelationData,
+    CriterionReport,
     DataValidationError,
     criterion_grid,
     criterion_matrix,
@@ -33,7 +36,8 @@ from .criterion import (
     require_tolerance,
 )
 from .linalg import HermiticityError
-from .observables import collective_spin_set, hp_quadrature_set, pauli_product_set, rotate_so3
+from .observables import (collective_spin_set, hp_quadrature_block, pauli_product_set,
+                          rotate_so3)
 from .reference import (WITNESS_VERDICT_TOL, AnnealParams, ppt_min_eigenvalue_grid,
                         witness_optimize)
 from .states import (WernerState, bell_state, product_state, spin_coherent_x,
@@ -77,6 +81,10 @@ class SweepConfig:
         require_tolerance(self.tolerance)
 
 
+# each witness setting of a spin-ensemble sweep and the AnnealParams field it sets
+EW_SETTINGS = {"ew_t0": "t0", "ew_decay": "decay", "ew_sweeps": "sweeps", "ew_box": "box_scale"}
+
+
 @dataclass(frozen=True)
 class EnsembleConfig(SweepConfig):
     """A (mu, t) sweep of two spin ensembles, its criteria and witness settings."""
@@ -102,10 +110,28 @@ class EnsembleConfig(SweepConfig):
             raise ValueError("at least one criterion is required")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        # whatever the criteria: every setting lands in the CSV's config line
+        for name, field in EW_SETTINGS.items():
+            try:
+                AnnealParams(**{field: getattr(self, name)})
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+
+    @property
+    def anneal(self) -> AnnealParams:
+        return AnnealParams(**{field: getattr(self, name) for name, field in EW_SETTINGS.items()})
+
+
+FLOAT_SPEC = ".17g"
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return format(float(x), FLOAT_SPEC)
+
+
+def _fmt_column(xs) -> list[str]:
+    """_fmt of every entry of a 1-D array of reals, as one list."""
+    return [format(x, FLOAT_SPEC) for x in np.asarray(xs, dtype=float).tolist()]
 
 
 def _flip_midpoints(xs, flags) -> list[float]:
@@ -165,30 +191,40 @@ def _require_witness_dim(m: int):
         )
 
 
-def _ensemble_grid(cfg: EnsembleConfig, obs_sets: dict, mus, ts):
-    """Reports per criterion, PPT minima and witness results over the
-    (mu, t) grid, each in row order (mu major).
+def _detect_rows(grid: np.ndarray, tol: float) -> CriterionReport:
+    """One stacked report of a (n_mu, n_t, N, N) grid, row order mu major,
+    from one detect call per mu: the Hermiticity check of the whole grid at
+    once would hold several temporaries of the grid's size."""
+    return CriterionReport(np.concatenate([detect(row, tol).eigenvalues for row in grid]), tol)
 
-    psi is evolved for every t in one array from a t-free start built once.
-    Each criterion takes the whole grid in one call, so a psi's Gram matrix
-    is formed once for all mu, and detect takes one mu row of matrices at a
-    time; the PPT column reads every psi's Schmidt coefficients from one
-    stacked SVD.  Only the witness forms a D x D state.  The states go out
-    of scope on return, before the rows are formatted.
+
+def _ensemble_grid(cfg: EnsembleConfig, spin, mus, ts):
+    """Criterion reports by name, each one stacked report of the whole
+    (mu, t) grid, the PPT minima and the witness results, in row order
+    (mu major).
+
+    psi is evolved for every t into one checked PureStateStack from a
+    t-free start built once.  cm and ds both read one criterion grid of the
+    spin sextet, so each psi's Gram matrix is formed once for all mu and
+    both criteria: the ds matrices are its quadrature block divided by 2M
+    (hp_quadrature_block).  The PPT column reads every psi's Schmidt
+    coefficients from one stacked SVD.  Only the witness forms a D x D
+    state.  The states go out of scope on return, before the rows are
+    formatted.
     """
     coherent = spin_coherent_x(cfg.m)
     states = szsz_evolve_grid(product_state(coherent, coherent), ts)
     ppt = ppt_min_eigenvalue_grid(states, mus).ravel() if "ppt" in cfg.criteria else None
-    reports = {
-        name: [r for row in criterion_grid(states, mus, obs_set)
-               for r in detect(row, cfg.tolerance)]
-        for name, obs_set in obs_sets.items()
-    }
+    reports = {}
+    if "cm" in cfg.criteria or "ds" in cfg.criteria:
+        grid = criterion_grid(states, mus, spin)
+        if "cm" in cfg.criteria:
+            reports["cm"] = _detect_rows(grid, cfg.tolerance)
+        if "ds" in cfg.criteria:
+            reports["ds"] = _detect_rows(hp_quadrature_block(grid, cfg.m), cfg.tolerance)
     ew_results = None
     if "ew" in cfg.criteria:
-        params = AnnealParams(
-            t0=cfg.ew_t0, decay=cfg.ew_decay, sweeps=cfg.ew_sweeps, box_scale=cfg.ew_box
-        )
+        params = cfg.anneal
         points = [WernerState(psi, mu) for mu in mus for psi in states]
         tasks = [(p, cfg.m, params, _point_seed(cfg.seed, i)) for i, p in enumerate(points)]
         # the pool forks all of its workers at the first submit
@@ -202,7 +238,8 @@ def _ensemble_grid(cfg: EnsembleConfig, obs_sets: dict, mus, ts):
 
 
 def run_spin_ensemble(cfg: EnsembleConfig) -> int:
-    """Criteria comparison over the (mu, t) grid of two evolved ensembles."""
+    """Criteria comparison over the (mu, t) grid of two evolved ensembles;
+    each CSV column is formatted from one array."""
     if cfg.m < 1:
         raise ValueError("ensemble size m must be >= 1")
     if "ew" in cfg.criteria:
@@ -210,49 +247,36 @@ def run_spin_ensemble(cfg: EnsembleConfig) -> int:
     spin = collective_spin_set(cfg.m)
     if cfg.rotate is not None:
         spin = rotate_so3(spin, np.asarray(cfg.rotate, dtype=float).reshape(3, 3))
-    obs_sets = {}
-    if "cm" in cfg.criteria:
-        obs_sets["cm"] = spin
-    if "ds" in cfg.criteria:
-        obs_sets["ds"] = hp_quadrature_set(cfg.m, spin_set=spin)
 
     mus = np.linspace(*cfg.mu_grid)
     ts = np.linspace(*cfg.t_grid)
-    columns = ["mu", "t"]
-    if "cm" in cfg.criteria:
-        columns += [f"cm_eig_{i + 1}" for i in range(6)] + ["cm_det", "cm_verdict"]
-    if "ds" in cfg.criteria:
-        columns += ["ds_min_eig", "ds_det", "ds_verdict"]
-    if "ppt" in cfg.criteria:
-        columns += ["ppt_min_eig"]
-    if "ew" in cfg.criteria:
-        columns += ["ew_min_expectation", "ew_residual"]
-
-    reports, ppt, ew_results = _ensemble_grid(cfg, obs_sets, mus, ts)
-    rows = []
-    for index, (mu, t) in enumerate(itertools.product(mus, ts)):
-        row = [_fmt(mu), _fmt(t)]
-        if "cm" in reports:
-            report = reports["cm"][index]
-            row += [_fmt(e) for e in report.eigenvalues]
-            row += [_fmt(report.determinant), report.verdict]
-        if "ds" in reports:
-            report = reports["ds"][index]
-            row += [_fmt(report.min_eigenvalue), _fmt(report.determinant), report.verdict]
-        if ppt is not None:
-            row.append(_fmt(ppt[index]))
-        if ew_results is not None:
-            result = ew_results[index]
-            row += [_fmt(result.min_expectation), _fmt(result.feasibility_residual)]
-        rows.append(row)
+    reports, ppt, ew_results = _ensemble_grid(cfg, spin, mus, ts)
+    columns = {"mu": _fmt_column(np.repeat(mus, len(ts))), "t": _fmt_column(np.tile(ts, len(mus)))}
+    if "cm" in reports:
+        report = reports["cm"]
+        for i, eigs in enumerate(report.eigenvalues.T):
+            columns[f"cm_eig_{i + 1}"] = _fmt_column(eigs)
+        columns["cm_det"] = _fmt_column(report.determinant)
+        columns["cm_verdict"] = report.verdict.tolist()
+    if "ds" in reports:
+        report = reports["ds"]
+        columns["ds_min_eig"] = _fmt_column(report.min_eigenvalue)
+        columns["ds_det"] = _fmt_column(report.determinant)
+        columns["ds_verdict"] = report.verdict.tolist()
+    if ppt is not None:
+        columns["ppt_min_eig"] = _fmt_column(ppt)
+    if ew_results is not None:
+        columns["ew_min_expectation"] = _fmt_column([r.min_expectation for r in ew_results])
+        columns["ew_residual"] = _fmt_column([r.feasibility_residual for r in ew_results])
+    rows = list(zip(*columns.values()))
 
     comments = []
-    for name, named in reports.items():
-        for i_mu, mu in enumerate(mus):
-            flags = [r.verdict == ENTANGLED for r in named[i_mu * len(ts):(i_mu + 1) * len(ts)]]
-            for x in _flip_midpoints(ts, flags):
+    for name, report in reports.items():
+        flags = (report.verdict == ENTANGLED).reshape(len(mus), len(ts))
+        for mu, mu_flags in zip(mus, flags):
+            for x in _flip_midpoints(ts, mu_flags):
                 comments.append(f"{name} verdict flip at t = {_fmt(x)} for mu = {_fmt(mu)}")
-    _write_csv(cfg.out, asdict(cfg), comments, columns, rows)
+    _write_csv(cfg.out, asdict(cfg), comments, list(columns), rows)
     for c in comments:
         print(c)
     return EXIT_OK
@@ -287,6 +311,8 @@ def run_witness(args) -> int:
     params = AnnealParams(
         t0=args.t0, decay=args.decay, sweeps=args.sweeps, box_scale=args.box
     )
+    if not np.isfinite(args.t):
+        raise ValueError(f"--t must be finite, got {args.t}")
     state = WernerState(spin_ensemble_state(args.m, args.t), args.mu)
     result = witness_optimize(state, args.m, params, args.seed)
     print(f"min_expectation: {_fmt(result.min_expectation)}")

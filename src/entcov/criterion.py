@@ -17,9 +17,16 @@ state for the criterion, and against PT_B(rho) for the moments, as
 Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list traces a per-call
 table of its own products.
 
-detect eigensolves one criterion matrix, or a stack of them in one call
-with one report per member.  A CriterionReport holds the spectrum and the
-tolerance only, and derives its minimum, determinant and verdict from them.
+The criterion matrix is bilinear in the operators, so the Duan-Simon (ds)
+test's, on the Holstein-Primakoff quadratures (S^y, S^z)_(A,B) / sqrt(2M),
+is the spin sextet's quadrature block divided by 2M
+(observables.hp_quadrature_block): a sweep forms the sextet's grid once
+for both tests.
+
+detect eigensolves one criterion matrix, or a stack of them in one call.
+A CriterionReport holds the spectrum, or a stack of spectra, and the
+tolerance only, and derives its minimum, determinant and verdict from
+them; a stack's report is the sequence of its members' reports.
 
 criterion_matrix_from_data rebuilds the criterion matrix from measured
 correlations of local operators with definite transpose parity: the
@@ -34,7 +41,7 @@ import numpy as np
 
 from .linalg import hermitian_eigenvalues, hermitize, partial_transpose
 from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet, is_unit_parity
-from .states import PureState, WernerState, amplitude_matrices, as_matrix, mixing_weights
+from .states import PureState, WernerState, as_matrix, as_state_stack, mixing_weights
 
 DEFAULT_VERDICT_TOL = 1e-9
 DATA_TOL = 1e-10
@@ -159,7 +166,9 @@ def _transpose_b_pairs(k: np.ndarray, on_b: np.ndarray) -> np.ndarray:
 
 def _centered_gram(psis, obs_set, transpose_b: bool) -> tuple[np.ndarray, np.ndarray]:
     """p_j = Re<psi|v_j> and the Gram matrix G_c of v_j - p_j psi for each psi
-    of psis, shapes (n_psi, N) and (n_psi, N, N).
+    of psis, shapes (n_psi, N) and (n_psi, N, N).  The chunks are slices of
+    the PureStateStack's amplitude array, not copies; a list of PureStates
+    is stacked once (as_state_stack).
 
     v_j = a_j Psi or Psi f_j on the amplitude matrix Psi, f = b^T with
     transpose_b and f = b without.  Each factor acts on a whole chunk of
@@ -173,13 +182,14 @@ def _centered_gram(psis, obs_set, transpose_b: bool) -> tuple[np.ndarray, np.nda
     factors = [o.matrix.T if on_b and transpose_b else o.matrix
                for o, on_b in zip(obs_set, obs_set.on_b)]
     chunk = max(1, GRID_CHUNK_BYTES // ((2 * n + 1) * da * db * 16))
-    p = np.empty((len(psis), n))
-    g_c = np.empty((len(psis), n, n), dtype=complex)
-    for start in range(0, len(psis), chunk):
-        mats = amplitude_matrices(psis[start:start + chunk])
-        if mats.shape[1:] != (da, db):
-            raise ValueError(f"state dimensions {mats.shape[1]}x{mats.shape[2]} do not match "
-                             f"observables {da}x{db}")
+    stack = as_state_stack(psis).matrices()
+    if stack.shape[1:] != (da, db):
+        raise ValueError(f"state dimensions {stack.shape[1]}x{stack.shape[2]} do not match "
+                         f"observables {da}x{db}")
+    p = np.empty((len(stack), n))
+    g_c = np.empty((len(stack), n, n), dtype=complex)
+    for start in range(0, len(stack), chunk):
+        mats = stack[start:start + chunk]
         amps = mats.reshape(len(mats), -1)
         # each product is written into its slot of v: no list to stack
         v = np.empty((len(amps), n, da, db), dtype=complex)
@@ -244,9 +254,10 @@ def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
 
 def criterion_grid(psis, mus, obs_set: ObservableSet) -> np.ndarray:
     """Criterion matrices of mu |psi><psi| + (1-mu) I/D for every mu of mus
-    and psi of psis (same-shape PureStates), shape (n_mu, n_psi, N, N), by
-    the amplitude route of a local set: each psi's Gram matrix is formed
-    once, whatever the number of mus.  Entry [i, j] equals
+    and psi of psis (a PureStateStack or a list of same-shape PureStates),
+    shape (n_mu, n_psi, N, N), by the amplitude route of a local set: each
+    psi's Gram matrix is formed once, whatever the number of mus.  Entry
+    [i, j] equals
     criterion_matrix(WernerState(psis[j], mus[i]), obs_set) bit for bit."""
     if not obs_set.is_local:
         raise ValueError("the grid route needs observables tagged 'A' or 'B'")
@@ -271,40 +282,57 @@ class CriterionEvaluator:
 
 @dataclass(frozen=True, eq=False)
 class CriterionReport:
-    """Ascending spectrum of one Hermitian criterion matrix and the verdict
-    tolerance; the minimum, the determinant (the spectrum's product) and the
-    verdict are read from them, so a report cannot disagree with itself."""
+    """Ascending spectrum of one Hermitian criterion matrix, shape (N,), or of
+    a stack of them, shape (k, N), and the verdict tolerance.  The minimum,
+    the determinant (the spectrum's product) and the verdict are read from
+    them, so a report cannot disagree with itself: a float and a str for one
+    matrix, arrays of k for a stack.  A stack's report is a sequence of the
+    reports of its members."""
 
     eigenvalues: np.ndarray
     tolerance: float
 
     @property
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0])
+    def min_eigenvalue(self):
+        return _scalar_or_stack(self.eigenvalues[..., 0])
 
     @property
-    def determinant(self) -> float:
-        return float(np.prod(self.eigenvalues))
+    def determinant(self):
+        return _scalar_or_stack(np.prod(self.eigenvalues, axis=-1))
 
     @property
-    def verdict(self) -> str:
-        return ENTANGLED if self.min_eigenvalue < -self.tolerance else UNDETECTED
+    def verdict(self):
+        entangled = self.eigenvalues[..., 0] < -self.tolerance
+        return _scalar_or_stack(np.where(entangled, ENTANGLED, UNDETECTED))
+
+    def _members(self) -> np.ndarray:
+        if np.ndim(self.eigenvalues) != 2:
+            raise TypeError("the report of one matrix has no members")
+        return self.eigenvalues
+
+    def __len__(self) -> int:
+        return len(self._members())
+
+    def __getitem__(self, i: int) -> "CriterionReport":
+        return CriterionReport(self._members()[i], self.tolerance)
 
 
-def detect(matrix, tol: float = DEFAULT_VERDICT_TOL) -> CriterionReport | list[CriterionReport]:
+def _scalar_or_stack(x):
+    """A one-matrix value as a Python float or str; a stack's as its array."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def detect(matrix, tol: float = DEFAULT_VERDICT_TOL) -> CriterionReport:
     """Eigenvalue test: any eigenvalue below -tol certifies entanglement.
 
-    A matrix gives one CriterionReport; a stack (k, N, N) gives a list of k,
-    one per member, from one eigvalsh call.  A tolerance that is not finite
-    and positive, or a member that is not finite or is further from
-    Hermitian than linalg.DEFAULT_HERMITICITY_TOL relative to its own norm,
-    raises.
+    A matrix gives the CriterionReport of its spectrum; a stack (k, N, N)
+    gives one report of all k spectra from one eigvalsh call, whose members
+    are the reports of the matrices.  A tolerance that is not finite and
+    positive, or a member that is not finite or is further from Hermitian
+    than linalg.DEFAULT_HERMITICITY_TOL relative to its own norm, raises.
     """
     tol = require_tolerance(tol)
-    stacked = np.ndim(matrix) == 3
-    spectra = hermitian_eigenvalues(matrix, stacked=stacked)
-    reports = [CriterionReport(eigs, tol) for eigs in (spectra if stacked else [spectra])]
-    return reports if stacked else reports[0]
+    return CriterionReport(hermitian_eigenvalues(matrix, stacked=np.ndim(matrix) == 3), tol)
 
 
 @dataclass(frozen=True, eq=False)

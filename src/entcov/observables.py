@@ -10,6 +10,11 @@ An observable tagged "A" or "B" stores its local factor a or b, a
 dim_a x dim_a or dim_b x dim_b matrix; one tagged "JOINT" stores the full
 joint matrix.  ObservableSet.matrices() is the one place that forms the
 joint a (x) I_B or I_A (x) b, for the dense routes only.
+
+HP_QUADRATURES names the sextet members and the scale of the
+Holstein-Primakoff quadratures once, for hp_quadrature_set and for
+hp_quadrature_block, which reads the quadratures' criterion matrices off
+the sextet's as its (S^y, S^z) block divided by 2M.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +36,18 @@ SUPPORT_JOINT = "JOINT"
 OBS_HERMITICITY_TOL = 1e-10
 PT_PARITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
+
+
+class _Quadratures(NamedTuple):
+    labels: tuple[str, ...]
+    index: tuple[int, ...]  # of each quadrature's spin member in the sextet
+    spin_factor: float  # a quadrature is its spin member over sqrt(spin_factor * M)
+
+
+# The Holstein-Primakoff quadratures (x_A, p_A, x_B, p_B) = (S^y_A, S^z_A,
+# S^y_B, S^z_B) / sqrt(2M): the one source of hp_quadrature_set and of
+# hp_quadrature_block, so the set and the sextet slice cannot drift apart.
+HP_QUADRATURES = _Quadratures(("x_A", "p_A", "x_B", "p_B"), (1, 2, 4, 5), 2.0)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -226,10 +244,14 @@ def _require_spin_sextet(obs_set: ObservableSet):
 
 
 def hp_quadrature_set(m: int, spin_set: ObservableSet | None = None) -> ObservableSet:
-    """Quadratures (x_A, p_A, x_B, p_B) = (S^y, S^z)_(A,B) / sqrt(2M).
+    """Quadratures (x_A, p_A, x_B, p_B) = (S^y, S^z)_(A,B) / sqrt(2M), the
+    sextet members and scale that HP_QUADRATURES names.
 
     With spin_set given (for example a rotated sextet), its y and z members
-    are scaled instead, so sub-optimal measurement axes can be modeled.
+    are scaled instead, so sub-optimal measurement axes can be modeled.  The
+    criterion matrix of this set is the sextet's at HP_QUADRATURES.index
+    divided by 2M (hp_quadrature_block), since the criterion matrix is
+    bilinear in the operators.
     """
     if m < 1:
         raise ValueError("ensemble size must be >= 1")
@@ -241,14 +263,21 @@ def hp_quadrature_set(m: int, spin_set: ObservableSet | None = None) -> Observab
             f"spin_set has dimensions {spin_set.dim_a}x{spin_set.dim_b}, "
             f"expected {m + 1}x{m + 1} for m={m}"
         )
-    scale = 1.0 / np.sqrt(2.0 * m)
-    picks = (("x_A", 1), ("p_A", 2), ("x_B", 4), ("p_B", 5))
+    scale = 1.0 / np.sqrt(HP_QUADRATURES.spin_factor * m)
     members = tuple(
         Observable(label, scale * spin_set[i].matrix, spin_set[i].support,
                    spin_set[i].pt_parity)
-        for label, i in picks
+        for label, i in zip(HP_QUADRATURES.labels, HP_QUADRATURES.index)
     )
     return ObservableSet(members, spin_set.dim_a, spin_set.dim_b)
+
+
+def hp_quadrature_block(sextet_matrices: np.ndarray, m: int) -> np.ndarray:
+    """The quadrature set's matrices, (..., 4, 4), from a stack (..., 6, 6) of
+    matrices of the spin sextet that are bilinear in its operators, such as
+    criterion matrices: the HP_QUADRATURES block divided by 2M."""
+    i = np.array(HP_QUADRATURES.index)
+    return sextet_matrices[..., i[:, None], i] / (HP_QUADRATURES.spin_factor * m)
 
 
 def rotate_so3(obs_set: ObservableSet, r) -> ObservableSet:

@@ -19,7 +19,7 @@ import numpy as np
 from .criterion import CriterionReport, DEFAULT_VERDICT_TOL, criterion_matrix, detect
 from .linalg import clip_psd, hermitize, kron, partial_transpose
 from .observables import ObservableSet, collective_spin_matrices, hp_quadrature_set
-from .states import (DensityMatrix, PureState, WernerState, amplitude_matrices, as_matrix,
+from .states import (DensityMatrix, PureState, WernerState, as_matrix, as_state_stack,
                      mixing_weights)
 
 
@@ -45,7 +45,8 @@ def ppt_min_eigenvalue(rho, dim_a: int | None = None, dim_b: int | None = None) 
 
 def ppt_min_eigenvalue_grid(psis, mus) -> np.ndarray:
     """Partial-transpose minimum of mu |psi><psi| + (1-mu) I/D for every mu of
-    mus and psi of psis (same-shape PureStates), shape (n_mu, n_psi).
+    mus and psi of psis (a PureStateStack or a list of same-shape
+    PureStates), shape (n_mu, n_psi).
 
     It is -mu s1 s2 + (1-mu)/D, where s1 >= s2 are the two largest singular
     values of the dim_a x dim_b amplitude matrix (s2 = 0 when one side has
@@ -54,7 +55,7 @@ def ppt_min_eigenvalue_grid(psis, mus) -> np.ndarray:
     psi come from one stacked SVD.
     """
     mu = mixing_weights(mus)[:, None]
-    mats = amplitude_matrices(psis)
+    mats = as_state_stack(psis).matrices()
     dim = mats.shape[1] * mats.shape[2]
     s = np.linalg.svd(mats, compute_uv=False)
     if s.shape[1] > 1:

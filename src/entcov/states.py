@@ -57,6 +57,49 @@ class PureState:
 
 
 @dataclass(frozen=True, eq=False)
+class PureStateStack:
+    """Normalized pure states of one bipartite shape, the rows of one (n, D)
+    amplitude array that is checked once as a whole.  Indexing gives the
+    PureState of a row; matrices() is the (n, dim_a, dim_b) view of the
+    array, which the grid routes slice without copying."""
+
+    dim_a: int
+    dim_b: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        if self.dim_a < 1 or self.dim_b < 1:
+            raise ValueError("subsystem dimensions must be positive")
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        if amps.ndim != 2 or amps.shape[1] != self.dim_a * self.dim_b or not len(amps):
+            raise ValueError(
+                f"amplitude stack has shape {amps.shape}, "
+                f"expected (n >= 1, {self.dim_a * self.dim_b})"
+            )
+        bad = np.flatnonzero(~np.isfinite(amps).all(axis=1))
+        if bad.size:
+            raise ValueError(f"amplitude row {bad[0]} contains NaN or Inf entries")
+        # each row's norm from its real and imaginary parts, with no
+        # temporary the size of the stack
+        flat = amps.view(float)
+        norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+        if bad.size:
+            raise ValueError(f"amplitude row {bad[0]} has norm {float(norms[bad[0]])!r}, "
+                             f"which deviates from 1 beyond {NORM_TOL}")
+        object.__setattr__(self, "amplitudes", amps)
+
+    def __len__(self) -> int:
+        return len(self.amplitudes)
+
+    def __getitem__(self, i: int) -> PureState:
+        return PureState(self.dim_a, self.dim_b, self.amplitudes[i])
+
+    def matrices(self) -> np.ndarray:
+        return self.amplitudes.reshape(-1, self.dim_a, self.dim_b)
+
+
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace matrix with a bipartition.
 
@@ -131,16 +174,18 @@ def mixing_weights(mus) -> np.ndarray:
     return mus
 
 
-def amplitude_matrices(psis) -> np.ndarray:
-    """The dim_a x dim_b amplitude matrices of a non-empty list of PureStates
-    that share one shape, stacked as (n, dim_a, dim_b)."""
+def as_state_stack(psis) -> "PureStateStack":
+    """A PureStateStack as it is, or the one conversion of a non-empty list of
+    PureStates that share one shape into a stack (a copy of their rows)."""
+    if isinstance(psis, PureStateStack):
+        return psis
     shapes = {(psi.dim_a, psi.dim_b) if isinstance(psi, PureState) else None for psi in psis}
     if None in shapes:
         raise ValueError("grid states must be PureStates")
     if len(shapes) != 1:
         raise ValueError(f"grid states must share one shape, got {sorted(shapes)}")
     (da, db), = shapes
-    return np.array([psi.amplitudes for psi in psis]).reshape(-1, da, db)
+    return PureStateStack(da, db, np.array([psi.amplitudes for psi in psis]))
 
 
 def as_matrix(state) -> np.ndarray:
@@ -205,14 +250,14 @@ def szsz_evolve(state: PureState, t: float) -> PureState:
     return szsz_evolve_grid(state, [t])[0]
 
 
-def szsz_evolve_grid(state: PureState, ts) -> list[PureState]:
+def szsz_evolve_grid(state: PureState, ts) -> PureStateStack:
     """exp(i S^z_A S^z_B t) applied for each t of ts, in the joint Dicke basis.
 
     The amplitude at (j, k) picks up the phase exp(i (M-2j)(M-2k) t), so the
     norm is preserved exactly.  The evolved amplitudes of every t fill one
     (len(ts), D) array in place, a row at a time (a broadcast over all rows
-    would hold numpy's 128 KB iteration buffers as well), and each evolved
-    state is a row of it that passes the PureState checks on its own.
+    would hold numpy's 128 KB iteration buffers as well), and the array is
+    checked once, as a PureStateStack.
     """
     if state.dim_a != state.dim_b:
         raise ValueError("ensembles must have equal dimension")
@@ -225,7 +270,7 @@ def szsz_evolve_grid(state: PureState, ts) -> list[PureState]:
         np.multiply(1j * t, phase, out=row)
         np.exp(row, out=row)
         np.multiply(state.amplitudes, row, out=row)
-    return [PureState(state.dim_a, state.dim_b, a) for a in amps]
+    return PureStateStack(state.dim_a, state.dim_b, amps)
 
 
 def spin_ensemble_state(m: int, t: float) -> PureState:

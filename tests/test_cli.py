@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from entcov.cli import main
-from entcov.criterion import correlation_data_from_state
-from entcov.observables import collective_spin_set
-from entcov.states import spin_ensemble_state, werner_mix
+from entcov.criterion import correlation_data_from_state, criterion_grid, criterion_matrix, detect
+from entcov.observables import collective_spin_set, hp_quadrature_set, rotate_so3
+from entcov.states import (WernerState, product_state, spin_coherent_x, spin_ensemble_state,
+                           szsz_evolve_grid, werner_mix)
+
+
+ROTATE_45Z = ["0.7071067811865476", "0.7071067811865476", "0", "-0.7071067811865476",
+              "0.7071067811865476", "0", "0", "0", "1"]
 
 
 def read_config(path):
@@ -160,6 +165,51 @@ class TestSpinEnsemble:
             assert main(argv) == 0
             assert svd_calls == [(31, 21, 21)]
             assert gram_states == [31]
+
+    @pytest.mark.parametrize("criteria", ["cm,ds", "ds"])
+    def test_cm_ds_sweep_forms_one_gram(self, tmp_path, monkeypatch, criteria):
+        # ds reads the sextet's Gram matrices: one call of all n_t states
+        import entcov.criterion
+
+        gram_states, gram = [], entcov.criterion._centered_gram
+
+        def counting_gram(psis, *args, **kwargs):
+            gram_states.append(len(psis))
+            return gram(psis, *args, **kwargs)
+
+        monkeypatch.setattr(entcov.criterion, "_centered_gram", counting_gram)
+        argv = ["spin-ensemble", "--m", "20", "--mu-min", "0.5", "--mu-steps", "3",
+                "--t-steps", "17", "--criteria", criteria, "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        assert gram_states == [17]
+
+    @pytest.mark.parametrize("m", [1, 2, 20])
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_ds_columns_match_quadrature_set(self, tmp_path, m, rotate):
+        out = tmp_path / "s.csv"
+        argv = ["spin-ensemble", "--m", str(m), "--mu-min", "0.4", "--mu-steps", "3",
+                "--t-steps", "9", "--t-max", "0.4", "--criteria", "cm,ds", "--out", str(out)]
+        spin = collective_spin_set(m)
+        if rotate:
+            argv += ["--rotate", *ROTATE_45Z]
+            spin = rotate_so3(spin, np.array([float(x) for x in ROTATE_45Z]).reshape(3, 3))
+        assert main(argv) == 0
+        _, rows = read_rows(out)
+        quads = hp_quadrature_set(m, spin_set=spin)
+        c = spin_coherent_x(m)
+        states = szsz_evolve_grid(product_state(c, c), np.linspace(0.0, 0.4, 9))
+        grid = criterion_grid(states, np.linspace(0.4, 1.0, 3), spin)
+        points = [(i, mu, j) for i, mu in enumerate(np.linspace(0.4, 1.0, 3)) for j in range(9)]
+        for row, (i, mu, j) in zip(rows, points, strict=True):
+            cm = detect(grid[i, j])
+            assert [float(row[f"cm_eig_{k + 1}"]) for k in range(6)] == cm.eigenvalues.tolist()
+            assert float(row["cm_det"]) == cm.determinant
+            assert row["cm_verdict"] == cm.verdict
+            c_ds = criterion_matrix(WernerState(states[j], mu), quads)
+            ds = detect(c_ds)
+            bound = 1e-12 * max(1.0, np.linalg.norm(c_ds, 2))
+            assert abs(float(row["ds_min_eig"]) - ds.min_eigenvalue) <= bound
+            assert row["ds_verdict"] == ds.verdict
 
     def test_region_map_memory_within_former_peak(self, tmp_path):
         # the map before the grid route peaked at 642 KB traced (643.8, 643.0
@@ -402,6 +452,33 @@ class TestNonFiniteInputs:
         captured = capsys.readouterr()
         assert not out.exists() and "verdict" not in captured.out
         assert f"{name} must lie in (0, inf), got {value}" in captured.err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--ew-t0", "nan", "ew_t0"), ("--ew-t0", "inf", "ew_t0"), ("--ew-decay", "2", "ew_decay"),
+    ])
+    def test_witness_settings_of_a_sweep_without_ew(self, tmp_path, capsys, monkeypatch,
+                                                    flag, value, name):
+        # they land in the config line, so they are checked whatever the criteria,
+        # and before any state is evolved
+        import entcov.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("states evolved before the settings were checked")
+
+        monkeypatch.setattr(entcov.cli, "szsz_evolve_grid", refuse)
+        out = tmp_path / "x.csv"
+        argv = ["spin-ensemble", "--m", "2", "--t-steps", "2", "--criteria", "cm",
+                flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert f"{name}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_witness_time(self, tmp_path, capsys, value):
+        out = tmp_path / "w.csv"
+        assert main(["witness", "--m", "1", f"--t={value}", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"--t must be finite, got {value}" in capsys.readouterr().err
 
 
 class TestOtherCommands:

@@ -642,6 +642,20 @@ class TestDetect:
             assert report.verdict == ENTANGLED
 
 
+    def test_stack_report_properties_are_member_arrays(self, rng):
+        stack = np.array([oracles.random_hermitian(rng, 4) for _ in range(5)] + [np.eye(4)])
+        report = detect(stack, 1e-3)
+        members = list(report)
+        assert report.eigenvalues.shape == (6, 4)
+        assert report.min_eigenvalue.tolist() == [r.min_eigenvalue for r in members]
+        assert report.determinant.tolist() == [r.determinant for r in members]
+        assert report.verdict.tolist() == [r.verdict for r in members]
+        assert [type(x) for x in (members[0].min_eigenvalue, members[0].determinant,
+                                  members[0].verdict)] == [float, float, str]
+        assert report[1:3].eigenvalues.tobytes() == report.eigenvalues[1:3].tobytes()
+        with pytest.raises(TypeError, match="no members"):
+            len(detect(np.eye(3)))
+
 class TestCorrelationDataPath:
     def build_data(self, m=3, mu=0.9, t=0.25):
         rho = werner_mix(spin_ensemble_state(m, t), mu)

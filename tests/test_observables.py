@@ -7,11 +7,13 @@ from entcov.observables import (
     ObservableSet,
     collective_spin_matrices,
     collective_spin_set,
+    hp_quadrature_block,
     hp_quadrature_set,
     pauli_product_set,
     rotate_so3,
 )
-from entcov.states import product_state, spin_coherent_x
+from entcov.criterion import criterion_matrix
+from entcov.states import DensityMatrix, product_state, spin_coherent_x
 
 import oracles
 
@@ -115,6 +117,21 @@ class TestHpQuadratureSet:
         rot = rotate_so3(collective_spin_set(2), np.eye(3))
         quads = hp_quadrature_set(2, spin_set=rot)
         assert all(q.pt_parity is None for q in quads)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_criterion_matrix_is_sextet_block(self, rng, rotated):
+        # the criterion matrix is bilinear in the operators: the quadratures'
+        # is the sextet's (y, z) block over 2M, here on the dense route
+        m = 3
+        spin = collective_spin_set(m)
+        if rotated:
+            spin = rotate_so3(spin, np.linalg.qr(rng.normal(size=(3, 3)))[0])
+        rho = DensityMatrix(m + 1, m + 1, oracles.random_density(rng, (m + 1) ** 2))
+        direct = criterion_matrix(rho, hp_quadrature_set(m, spin_set=spin))
+        block = hp_quadrature_block(criterion_matrix(rho, spin), m)
+        assert np.abs(block - direct).max() <= 1e-13 * max(1.0, np.linalg.norm(direct, 2))
+        stack = np.array([criterion_matrix(rho, spin)] * 3).reshape(3, 1, 6, 6)
+        assert hp_quadrature_block(stack, m).shape == (3, 1, 4, 4)
 
     def test_rejects_non_sextet(self):
         with pytest.raises(ValueError):

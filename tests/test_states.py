@@ -12,8 +12,10 @@ from entcov.observables import collective_spin_matrices
 from entcov.states import (
     DensityMatrix,
     PureState,
+    PureStateStack,
     WernerState,
     as_matrix,
+    as_state_stack,
     bell_state,
     product_state,
     spin_coherent_x,
@@ -120,6 +122,58 @@ class TestWernerMix:
             psi = PureState(da, db, oracles.random_pure(rng, da * db))
             mu = float(rng.uniform())
             werner_mix(psi, mu).validate()
+
+
+class TestPureStateStack:
+    def rows(self, rng, n=5, dim=6):
+        return np.array([oracles.random_pure(rng, dim) for _ in range(n)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_row_by_index(self, rng, bad):
+        amps = self.rows(rng)
+        amps[3, 2] = bad
+        with pytest.raises(ValueError, match="amplitude row 3 contains NaN or Inf"):
+            PureStateStack(2, 3, amps)
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, 0.5, 0.0])
+    def test_rejects_row_norm_by_index(self, rng, scale):
+        amps = self.rows(rng)
+        amps[4] *= scale
+        with pytest.raises(ValueError, match="amplitude row 4 has norm .* deviates from 1"):
+            PureStateStack(2, 3, amps)
+
+    @pytest.mark.parametrize("shape", [(0, 6), (6,), (2, 5), (1, 2, 3)])
+    def test_rejects_shape(self, shape):
+        with pytest.raises(ValueError, match="amplitude stack has shape"):
+            PureStateStack(2, 3, np.ones(shape, dtype=complex) / np.sqrt(6))
+
+    def test_rows_are_checked_pure_states_and_matrices_a_view(self, rng):
+        amps = self.rows(rng)
+        stack = PureStateStack(2, 3, amps)
+        assert stack.amplitudes is amps  # a complex C-ordered array is not copied
+        assert np.shares_memory(stack.matrices(), amps)
+        assert stack.matrices().shape == (5, 2, 3)
+        assert len(stack) == 5
+        for row, psi in zip(amps, stack, strict=True):
+            assert isinstance(psi, PureState)
+            assert psi.amplitudes.tobytes() == row.tobytes()
+        assert stack[-1].amplitudes.tobytes() == amps[-1].tobytes()
+
+    def test_list_conversion(self, rng):
+        psis = [PureState(2, 3, row) for row in self.rows(rng)]
+        stack = as_state_stack(psis)
+        assert np.array_equal(stack.amplitudes, [psi.amplitudes for psi in psis])
+        assert as_state_stack(stack) is stack
+        with pytest.raises(ValueError, match="share one shape"):
+            as_state_stack(psis + [PureState(3, 2, psis[0].amplitudes)])
+        with pytest.raises(ValueError, match="must be PureStates"):
+            as_state_stack([psis[0].density()])
+
+    def test_evolved_grid_is_one_stack(self):
+        state = product_state(spin_coherent_x(4), spin_coherent_x(4))
+        grid = szsz_evolve_grid(state, np.linspace(0.0, 0.5, 7))
+        assert isinstance(grid, PureStateStack)
+        assert grid.amplitudes.shape == (7, 25)
 
 
 class TestSpinCoherentX:
