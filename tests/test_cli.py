@@ -197,9 +197,10 @@ class TestSpinEnsemble:
         _, rows = read_rows(out)
         quads = hp_quadrature_set(m, spin_set=spin)
         c = spin_coherent_x(m)
+        mus = np.linspace(0.4, 1.0, 3)
         states = szsz_evolve_grid(product_state(c, c), np.linspace(0.0, 0.4, 9))
-        grid = criterion_grid(states, np.linspace(0.4, 1.0, 3), spin)
-        points = [(i, mu, j) for i, mu in enumerate(np.linspace(0.4, 1.0, 3)) for j in range(9)]
+        grid = criterion_grid(states, mus, spin)
+        points = [(i, mu, j) for i, mu in enumerate(mus) for j in range(9)]
         for row, (i, mu, j) in zip(rows, points, strict=True):
             cm = detect(grid[i, j])
             assert [float(row[f"cm_eig_{k + 1}"]) for k in range(6)] == cm.eigenvalues.tolist()
