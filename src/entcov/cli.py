@@ -25,7 +25,6 @@ import numpy as np
 from .criterion import (
     DEFAULT_VERDICT_TOL,
     ENTANGLED,
-    UNDETECTED,
     CorrelationData,
     CriterionReport,
     DataValidationError,
@@ -38,8 +37,7 @@ from .criterion import (
 from .linalg import HermiticityError
 from .observables import (collective_spin_set, hp_quadrature_block, pauli_product_set,
                           rotate_so3)
-from .reference import (WITNESS_VERDICT_TOL, AnnealParams, ppt_min_eigenvalue_grid,
-                        witness_optimize)
+from .reference import AnnealParams, ppt_min_eigenvalue_grid, witness_optimize
 from .states import (WernerState, bell_state, product_state, spin_coherent_x,
                      spin_ensemble_state, szsz_evolve_grid, werner_mix)
 from .suite import DEFAULT_MAX_N, DEFAULT_TRIALS, run_property_battery
@@ -110,6 +108,7 @@ class EnsembleConfig(SweepConfig):
             raise ValueError("at least one criterion is required")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        _check_seed(self.seed)
         # whatever the criteria: every setting lands in the CSV's config line
         for name, field in EW_SETTINGS.items():
             try:
@@ -140,6 +139,11 @@ def _flip_midpoints(xs, flags) -> list[float]:
         for i in range(1, len(xs))
         if flags[i] != flags[i - 1]
     ]
+
+
+def _check_seed(seed: int):
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _point_seed(master: int, index: int) -> int:
@@ -297,6 +301,7 @@ def run_from_data(path: str, tol: float) -> int:
 
 
 def run_uncertainty_suite(trials: int, max_n: int, seed: int) -> int:
+    _check_seed(seed)
     results = run_property_battery(trials=trials, max_n=max_n, seed=seed)
     all_passed = True
     for r in results:
@@ -308,6 +313,7 @@ def run_uncertainty_suite(trials: int, max_n: int, seed: int) -> int:
 
 def run_witness(args) -> int:
     _require_witness_dim(args.m)
+    _check_seed(args.seed)
     params = AnnealParams(
         t0=args.t0, decay=args.decay, sweeps=args.sweeps, box_scale=args.box
     )
@@ -318,8 +324,7 @@ def run_witness(args) -> int:
     print(f"min_expectation: {_fmt(result.min_expectation)}")
     print(f"feasibility_residual: {_fmt(result.feasibility_residual)}")
     print(f"iterations: {result.iterations}")
-    detected = result.min_expectation < -WITNESS_VERDICT_TOL
-    print("verdict: " + (ENTANGLED if detected else UNDETECTED))
+    print(f"verdict: {result.verdict}")
     if args.out is not None:
         config = {
             "experiment": "WITNESS",

@@ -14,8 +14,9 @@ working set stays within GRID_CHUNK_BYTES, and then every mu's moments from
 that psi's G_c.  One PureState or WernerState is a 1 x 1 grid.  Otherwise
 one tracer (_trace_table) reads the set's cached pt_tables against the
 state for the criterion, and against PT_B(rho) for the moments, as
-Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list traces a per-call
-table of its own products.
+Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list, held to the set's
+Hermiticity rule (observables.is_observable_hermitian), traces a per-call
+table of its own products, for the moments only.
 
 The criterion matrix is bilinear in the operators, so the Duan-Simon (ds)
 test's, on the Holstein-Primakoff quadratures (S^y, S^z)_(A,B) / sqrt(2M),
@@ -26,7 +27,7 @@ for both tests.
 detect eigensolves one criterion matrix, or a stack of them in one call.
 A CriterionReport holds the spectrum, or a stack of spectra, and the
 tolerance only, and derives its minimum, determinant and verdict from
-them; a stack's report is the sequence of its members' reports.
+them: scalars for one matrix, arrays with one entry per member for a stack.
 
 criterion_matrix_from_data rebuilds the criterion matrix from measured
 correlations of local operators with definite transpose parity: the
@@ -40,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eigenvalues, hermitize, partial_transpose
-from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet, is_unit_parity
+from .observables import (SUPPORT_A, SUPPORT_B, Observable, ObservableSet,
+                          is_observable_hermitian, is_unit_parity)
 from .states import PureState, WernerState, as_matrix, as_state_stack, mixing_weights
 
 DEFAULT_VERDICT_TOL = 1e-9
@@ -66,7 +68,8 @@ def require_tolerance(tol) -> float:
 
 def _raw_table(observables, dim: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
     """Pairs j <= k, operators and products xi_j xi_k of a list of raw
-    dim x dim arrays; an operator of another shape is rejected by position."""
+    dim x dim arrays; an operator of another shape, or one that is not
+    Hermitian, is rejected by position."""
     mats = []
     for i, o in enumerate(observables):
         if isinstance(o, Observable):
@@ -78,8 +81,12 @@ def _raw_table(observables, dim: int) -> tuple[list[tuple[int, int]], np.ndarray
         mats.append(m)
     if not mats:
         raise ValueError("observable list is empty")
+    singles = np.array(mats)
+    bad = np.flatnonzero(~is_observable_hermitian(singles))
+    if bad.size:
+        raise ValueError(f"observable {bad[0]} is not Hermitian")
     pairs = [(j, k) for j in range(len(mats)) for k in range(j, len(mats))]
-    return pairs, np.array(mats), np.array([mats[j] @ mats[k] for j, k in pairs])
+    return pairs, singles, np.array([mats[j] @ mats[k] for j, k in pairs])
 
 
 def _trace_table(table, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,14 +148,6 @@ def covariance_commutation(rho, observables) -> tuple[np.ndarray, np.ndarray]:
     """
     _, v, omega = _moments(rho, observables)
     return v, omega
-
-
-def covariance_matrix(rho, observables) -> np.ndarray:
-    return covariance_commutation(rho, observables)[0]
-
-
-def commutation_matrix(rho, observables) -> np.ndarray:
-    return covariance_commutation(rho, observables)[1]
 
 
 def uncertainty_matrix(rho, observables) -> np.ndarray:
@@ -286,8 +285,7 @@ class CriterionReport:
     a stack of them, shape (k, N), and the verdict tolerance.  The minimum,
     the determinant (the spectrum's product) and the verdict are read from
     them, so a report cannot disagree with itself: a float and a str for one
-    matrix, arrays of k for a stack.  A stack's report is a sequence of the
-    reports of its members."""
+    matrix, arrays of k for a stack."""
 
     eigenvalues: np.ndarray
     tolerance: float
@@ -305,17 +303,6 @@ class CriterionReport:
         entangled = self.eigenvalues[..., 0] < -self.tolerance
         return _scalar_or_stack(np.where(entangled, ENTANGLED, UNDETECTED))
 
-    def _members(self) -> np.ndarray:
-        if np.ndim(self.eigenvalues) != 2:
-            raise TypeError("the report of one matrix has no members")
-        return self.eigenvalues
-
-    def __len__(self) -> int:
-        return len(self._members())
-
-    def __getitem__(self, i: int) -> "CriterionReport":
-        return CriterionReport(self._members()[i], self.tolerance)
-
 
 def _scalar_or_stack(x):
     """A one-matrix value as a Python float or str; a stack's as its array."""
@@ -326,13 +313,17 @@ def detect(matrix, tol: float = DEFAULT_VERDICT_TOL) -> CriterionReport:
     """Eigenvalue test: any eigenvalue below -tol certifies entanglement.
 
     A matrix gives the CriterionReport of its spectrum; a stack (k, N, N)
-    gives one report of all k spectra from one eigvalsh call, whose members
-    are the reports of the matrices.  A tolerance that is not finite and
-    positive, or a member that is not finite or is further from Hermitian
-    than linalg.DEFAULT_HERMITICITY_TOL relative to its own norm, raises.
+    gives one report of all k spectra from one eigvalsh call, row i being
+    matrix i's.  A tolerance that is not finite and positive, an empty
+    0 x 0 matrix, or a member that is not finite or is further from
+    Hermitian than linalg.DEFAULT_HERMITICITY_TOL relative to its own norm,
+    raises.  An empty stack (0, N, N) gives an empty report.
     """
     tol = require_tolerance(tol)
-    return CriterionReport(hermitian_eigenvalues(matrix, stacked=np.ndim(matrix) == 3), tol)
+    eigenvalues = hermitian_eigenvalues(matrix, stacked=np.ndim(matrix) == 3)
+    if eigenvalues.shape[-1] == 0:
+        raise ValueError("detect needs matrices of dimension at least 1, got 0 x 0")
+    return CriterionReport(eigenvalues, tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,9 @@ are Hermitian analytically are symmetrized before eigensolving so that
 floating-point rounding never produces a spurious complex spectrum, and
 every Hermiticity check holds the relative defect to DEFAULT_HERMITICITY_TOL.
 The Hermitian checks and the eigensolve also take a stack (k, n, n),
-checked member by member and solved in one LAPACK call.
+checked member by member and solved in one LAPACK call.  partial_transpose
+checks its input and applies the one index permutation, transpose_factor,
+which the annealer's projection loop calls unchecked.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ def kron(a, b) -> np.ndarray:
     return np.kron(_as_square(a), _as_square(b))
 
 
+# tensor-index order (a, b, a', b') after transposing factor A or factor B
+_PT_AXES = {"A": (2, 1, 0, 3), "B": (0, 3, 2, 1)}
+
+
 def partial_transpose(m, dim_a: int, dim_b: int, subsystem: str = "B") -> np.ndarray:
     """Transpose the indices of one tensor factor only.
 
@@ -82,13 +88,15 @@ def partial_transpose(m, dim_a: int, dim_b: int, subsystem: str = "B") -> np.nda
         raise ValueError(
             f"matrix dimension {m.shape[0]} does not match dim_a*dim_b = {dim_a * dim_b}"
         )
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if subsystem == "B":
-        t = t.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        t = t.transpose(2, 1, 0, 3)
-    else:
+    if subsystem not in _PT_AXES:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    return transpose_factor(m, dim_a, dim_b, subsystem)
+
+
+def transpose_factor(m: np.ndarray, dim_a: int, dim_b: int, subsystem: str) -> np.ndarray:
+    """partial_transpose of a square complex array already known to fit,
+    unchecked, for hot loops such as the decomposability projections."""
+    t = m.reshape(dim_a, dim_b, dim_a, dim_b).transpose(_PT_AXES[subsystem])
     return t.reshape(dim_a * dim_b, dim_a * dim_b)
 
 

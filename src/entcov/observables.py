@@ -54,6 +54,14 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def is_observable_hermitian(m: np.ndarray) -> bool | np.ndarray:
+    """The one Hermiticity rule of observables, in a set or a raw list:
+    ||m - m^dagger|| within OBS_HERMITICITY_TOL of max(1, ||m||) in the
+    Frobenius norm; an array of them for a stack (..., n, n)."""
+    defect = np.linalg.norm(m - np.swapaxes(m, -1, -2).conj(), axis=(-2, -1))
+    return defect <= OBS_HERMITICITY_TOL * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+
+
 def is_unit_parity(s) -> bool:
     """A transpose parity: a real +1 or -1 that is not a bool."""
     return not isinstance(s, bool) and isinstance(s, numbers.Real) and s in (1, -1)
@@ -112,8 +120,7 @@ class ObservableSet:
                     f"observable {o.label!r} is tagged {o.support!r} but has shape "
                     f"{o.matrix.shape}, expected ({d}, {d})"
                 )
-            scale = max(1.0, float(np.linalg.norm(o.matrix)))
-            if np.linalg.norm(o.matrix - o.matrix.conj().T) > OBS_HERMITICITY_TOL * scale:
+            if not is_observable_hermitian(o.matrix):
                 raise ValueError(f"observable {o.label!r} is not Hermitian")
             if o.pt_parity is not None:
                 # PT_B maps a (x) I_B to itself and I_A (x) b to I_A (x) b^T
@@ -121,6 +128,7 @@ class ObservableSet:
                     pt = partial_transpose(o.matrix, self.dim_a, self.dim_b, "B")
                 else:
                     pt = o.matrix.T if o.support == SUPPORT_B else o.matrix
+                scale = max(1.0, float(np.linalg.norm(o.matrix)))
                 if np.linalg.norm(pt - o.pt_parity * o.matrix) > PT_PARITY_TOL * scale:
                     raise ValueError(
                         f"observable {o.label!r} does not have partial-transpose "

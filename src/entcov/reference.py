@@ -6,8 +6,8 @@ witnesses.
 The partial-transpose minimum of a PureState or a WernerState has a closed
 form in the two largest Schmidt coefficients, so the `ppt` column of a
 spin-ensemble sweep forms no D x D array and takes the Schmidt coefficients
-of its whole (mu, t) grid from one stacked SVD; DensityMatrix and raw-array
-inputs take the dense spectrum.
+of its whole (mu, t) grid from one stacked SVD; a DensityMatrix takes the
+dense spectrum, and a raw array, which carries no bipartition, is rejected.
 """
 
 from __future__ import annotations
@@ -16,30 +16,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import CriterionReport, DEFAULT_VERDICT_TOL, criterion_matrix, detect
-from .linalg import clip_psd, hermitize, kron, partial_transpose
+from .criterion import (DEFAULT_VERDICT_TOL, ENTANGLED, UNDETECTED, CriterionReport,
+                        criterion_matrix, detect)
+from .linalg import clip_psd, hermitize, kron, partial_transpose, transpose_factor
 from .observables import ObservableSet, collective_spin_matrices, hp_quadrature_set
 from .states import (DensityMatrix, PureState, WernerState, as_matrix, as_state_stack,
                      mixing_weights)
 
 
-def ppt_min_eigenvalue(rho, dim_a: int | None = None, dim_b: int | None = None) -> float:
+def ppt_min_eigenvalue(rho) -> float:
     """Minimum eigenvalue of the partially transposed state.
 
     A negative value certifies entanglement.  A PureState or a WernerState
-    is a 1 x 1 grid of ppt_min_eigenvalue_grid.  A DensityMatrix or a raw
-    matrix is partially transposed and eigensolved densely.  Dimensions are
-    taken from the state when it carries them.
+    is a 1 x 1 grid of ppt_min_eigenvalue_grid.  A DensityMatrix is
+    partially transposed over its own bipartition and eigensolved densely.
     """
     if isinstance(rho, PureState):
         rho = WernerState(rho, 1.0)
     if isinstance(rho, WernerState):
         return float(ppt_min_eigenvalue_grid([rho.psi], [rho.mu])[0, 0])
-    if isinstance(rho, DensityMatrix):
-        dim_a, dim_b = rho.dim_a, rho.dim_b
-    elif dim_a is None or dim_b is None:
-        raise ValueError("dim_a and dim_b are required for raw matrices")
-    sigma = partial_transpose(as_matrix(rho), dim_a, dim_b, "B")
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError("ppt_min_eigenvalue needs a PureState, WernerState or DensityMatrix, "
+                        f"got {type(rho).__name__}")
+    sigma = partial_transpose(rho.matrix, rho.dim_a, rho.dim_b, "B")
     return float(np.linalg.eigvalsh(hermitize(sigma))[0])
 
 
@@ -85,13 +84,16 @@ def duan_simon_report(
 
 WITNESS_VERDICT_TOL = 1e-6  # an expectation below -WITNESS_VERDICT_TOL is ENTANGLED
 PROPOSAL_SCALE = 0.5  # annealer kick width per unit of coefficient box and temperature
+SPLIT_TOL = 1e-8  # largest negative-part norm, and last move, a decomposable split accepts
+SPLIT_MAX_ITER = 500  # projection rounds before decomposable_split reports infeasible
 
 
 @dataclass(frozen=True)
 class AnnealParams:
     """Temperature schedule and coefficient box of the witness annealer;
     defaults favor small ensembles and are the CLI defaults.  The
-    decomposability certificate uses decomposable_split's own defaults."""
+    decomposability certificate is held to SPLIT_TOL within SPLIT_MAX_ITER
+    projection rounds."""
 
     t0: float = 1.0
     decay: float = 0.98
@@ -118,22 +120,19 @@ class WitnessResult:
     seed: int
     iterations: int
 
+    @property
+    def verdict(self) -> str:
+        return ENTANGLED if self.min_expectation < -WITNESS_VERDICT_TOL else UNDETECTED
+
 
 def _negative_part_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(x), 0.0)))
-
-
-def _pt_a(m: np.ndarray, d: int) -> np.ndarray:
-    # unchecked partial transpose over A for the projection hot loop
-    return m.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
 
 
 def decomposable_split(
     w,
     dim_a: int,
     dim_b: int,
-    tol: float = 1e-8,
-    max_iter: int = 500,
     start: np.ndarray | None = None,
 ) -> tuple[bool, float, np.ndarray]:
     """Try to split w = P + Q^(T_A) with P, Q both positive semidefinite.
@@ -144,8 +143,8 @@ def decomposable_split(
     transpose is a Frobenius isometry, so both projections are exact
     eigenvalue clips.  Returns (feasible, residual, P) where the residual is
     the largest remaining negative-part norm of P and (w - P)^(T_A).
-    Non-convergence within max_iter reports infeasible.  The defaults are
-    the ones the witness annealer certifies with.
+    Non-convergence within SPLIT_MAX_ITER rounds, or a residual above
+    SPLIT_TOL, reports infeasible.
     """
     if dim_a != dim_b:
         raise ValueError("decomposable_split expects equal subsystem dimensions")
@@ -154,35 +153,35 @@ def decomposable_split(
     if w.shape[0] != d * d:
         raise ValueError(f"matrix dimension {w.shape[0]} != dim_a*dim_b = {d * d}")
     neg_w = _negative_part_norm(w)
-    if neg_w <= tol:
+    if neg_w <= SPLIT_TOL:
         return True, neg_w, w
-    neg_wta = _negative_part_norm(_pt_a(w, d))
-    if neg_wta <= tol:
+    neg_wta = _negative_part_norm(transpose_factor(w, d, d, "A"))
+    if neg_wta <= SPLIT_TOL:
         return True, neg_wta, np.zeros_like(w)
     p = hermitize(np.asarray(start, dtype=complex)) if start is not None else w.copy()
     converged = False
-    for _ in range(max_iter):
+    for _ in range(SPLIT_MAX_ITER):
         evals, evecs = np.linalg.eigh(p)
         neg_p = float(np.linalg.norm(np.minimum(evals, 0.0)))
-        if neg_p <= tol:
+        if neg_p <= SPLIT_TOL:
             # p already PSD; if the complementary part also clears the cone,
             # p certifies the split and a warm start can accept immediately
-            neg_q = _negative_part_norm(_pt_a(w - p, d))
-            if neg_q <= tol:
+            neg_q = _negative_part_norm(transpose_factor(w - p, d, d, "A"))
+            if neg_q <= SPLIT_TOL:
                 return True, max(neg_p, neg_q), p
         clipped = (evecs * np.maximum(evals, 0.0)) @ evecs.conj().T
-        y = _pt_a(w - clipped, d)
-        p_next = w - _pt_a(clip_psd(y), d)
+        y = transpose_factor(w - clipped, d, d, "A")
+        p_next = w - transpose_factor(clip_psd(y), d, d, "A")
         move = float(np.linalg.norm(p_next - p))
         p = hermitize(p_next)
-        if move <= tol:
+        if move <= SPLIT_TOL:
             converged = True
             break
     residual = max(
         _negative_part_norm(p),
-        _negative_part_norm(_pt_a(w - p, d)),
+        _negative_part_norm(transpose_factor(w - p, d, d, "A")),
     )
-    return converged and residual <= tol, residual, p
+    return converged and residual <= SPLIT_TOL, residual, p
 
 
 def witness_basis(m: int) -> list[np.ndarray]:

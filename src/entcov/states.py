@@ -244,12 +244,6 @@ def product_state(amps_a, amps_b) -> PureState:
     return PureState(a.size, b.size, np.kron(a, b))
 
 
-def szsz_evolve(state: PureState, t: float) -> PureState:
-    """Apply exp(i S^z_A S^z_B t) in the joint Dicke basis: one time of
-    szsz_evolve_grid."""
-    return szsz_evolve_grid(state, [t])[0]
-
-
 def szsz_evolve_grid(state: PureState, ts) -> PureStateStack:
     """exp(i S^z_A S^z_B t) applied for each t of ts, in the joint Dicke basis.
 
@@ -274,6 +268,7 @@ def szsz_evolve_grid(state: PureState, ts) -> PureStateStack:
 
 
 def spin_ensemble_state(m: int, t: float) -> PureState:
-    """exp(i S^z_A S^z_B t) applied to the doubly x-polarized ensemble pair."""
+    """exp(i S^z_A S^z_B t) applied to the doubly x-polarized ensemble pair,
+    the one row of a one-time szsz_evolve_grid."""
     c = spin_coherent_x(m)
-    return szsz_evolve(product_state(c, c), t)
+    return szsz_evolve_grid(product_state(c, c), [t])[0]

@@ -14,7 +14,7 @@ by criterion.covariance_commutation, for pure and mixed states alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -31,12 +31,12 @@ def variance(rho, op) -> float:
 
 
 def schrodinger_I2(rho, op1, op2) -> float:
-    """Two-operator residual sigma_1^2 sigma_2^2 - |V_12|^2 - |Omega_12 / 2|^2.
+    """Two-operator residual sigma_1^2 sigma_2^2 - |V_12|^2 - |Omega_12 / 2|^2:
+    the determinant of the 2x2 uncertainty matrix.
 
     Nonnegative for every valid state; zero when the bound is saturated.
     """
-    v, omega = covariance_commutation(rho, [op1, op2])
-    return float(v[0, 0] * v[1, 1] - v[0, 1] ** 2 - (omega[0, 1] / 2.0) ** 2)
+    return float(np.linalg.det(uncertainty_matrix(rho, [op1, op2])).real)
 
 
 def schrodinger_I3(rho, op1, op2, op3) -> float:
@@ -97,10 +97,7 @@ def uncertainty_report(rho, observables) -> UncertaintyReport:
     i_values: dict = {}
     for j in range(n):
         i_values[(j,)] = float(u[j, j].real)
-    for j, k in combinations(range(n), 2):
-        i_values[(j, k)] = float((u[j, j] * u[k, k]).real - abs(u[j, k]) ** 2)
-    for subset in combinations(range(n), 3):
-        sub = u[np.ix_(subset, subset)]
-        i_values[subset] = float(np.linalg.det(sub).real)
+    for subset in chain(combinations(range(n), 2), combinations(range(n), 3)):
+        i_values[subset] = float(np.linalg.det(u[np.ix_(subset, subset)]).real)
     sums = {k: invariant_decomposition(u, k) for k in range(1, n + 1)}
     return UncertaintyReport(n=n, i_values=i_values, invariant_sums=sums)

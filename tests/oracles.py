@@ -124,6 +124,13 @@ def commutation_entry(rho, x, y):
     return (-1j * np.trace(rho @ (x @ y - y @ x))).real
 
 
+def pair_residual(rho, x, y):
+    """Two-operator residual sigma_x^2 sigma_y^2 - V_xy^2 - (Omega_xy / 2)^2
+    from the entrywise covariance and commutation oracles."""
+    v = covariance_entry(rho, x, x) * covariance_entry(rho, y, y)
+    return v - covariance_entry(rho, x, y) ** 2 - (commutation_entry(rho, x, y) / 2) ** 2
+
+
 def principal_minor_sum(m, k):
     """Brute-force sum of k x k principal minors."""
     n = m.shape[0]

@@ -481,6 +481,26 @@ class TestNonFiniteInputs:
         assert not out.exists()
         assert f"--t must be finite, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, seed", [
+        (["witness", "--m", "1"], "-1"),
+        (["spin-ensemble", "--m", "2", "--t-steps", "2", "--criteria", "cm,ew"], "-3"),
+        (["spin-ensemble", "--m", "2", "--t-steps", "2", "--criteria", "cm"], "-3"),
+        (["uncertainty-suite", "--trials", "3"], "-1"),
+    ])
+    def test_negative_seed(self, capsys, monkeypatch, command, seed):
+        import entcov.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("states evolved before the seed was checked")
+
+        for name in ("szsz_evolve_grid", "spin_ensemble_state", "witness_optimize",
+                     "run_property_battery"):
+            monkeypatch.setattr(entcov.cli, name, refuse)
+        assert main([*command, f"--seed={seed}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"seed must be >= 0, got {seed}" in captured.err
+
 
 class TestOtherCommands:
     def test_uncertainty_suite_quick(self, capsys):

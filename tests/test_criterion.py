@@ -14,10 +14,8 @@ from entcov.criterion import (
     CriterionEvaluator,
     CriterionReport,
     DataValidationError,
-    commutation_matrix,
     correlation_data_from_state,
     covariance_commutation,
-    covariance_matrix,
     criterion_grid,
     criterion_matrix,
     criterion_matrix_from_data,
@@ -55,23 +53,23 @@ def maximally_mixed(da, db):
 
 class TestCovarianceMatrix:
     def test_maximally_mixed_pauli_products(self):
-        v = covariance_matrix(maximally_mixed(2, 2), pauli_product_set())
+        v = covariance_commutation(maximally_mixed(2, 2), pauli_product_set())[0]
         assert np.allclose(v, np.eye(3), atol=1e-12)
 
     def test_bell_state_perfect_correlations(self):
-        v = covariance_matrix(werner_mix(bell_state(), 1.0), pauli_product_set())
+        v = covariance_commutation(werner_mix(bell_state(), 1.0), pauli_product_set())[0]
         assert np.allclose(v, 0.0, atol=1e-12)
 
     def test_identity_observable_has_zero_variance(self, rng):
         rho = oracles.random_density(rng, 4)
-        v = covariance_matrix(rho, [np.eye(4)])
+        v = covariance_commutation(rho, [np.eye(4)])[0]
         assert v.shape == (1, 1)
         assert v[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_entrywise_oracle(self, rng):
         rho = oracles.random_density(rng, 6)
         mats = [oracles.random_hermitian(rng, 6) for _ in range(4)]
-        v = covariance_matrix(rho, mats)
+        v = covariance_commutation(rho, mats)[0]
         for j in range(4):
             for k in range(4):
                 expected = oracles.covariance_entry(rho, mats[j], mats[k])
@@ -81,13 +79,13 @@ class TestCovarianceMatrix:
 class TestCommutationMatrix:
     def test_pauli_products_commute(self, rng):
         rho = oracles.random_density(rng, 4)
-        omega = commutation_matrix(rho, pauli_product_set())
+        omega = covariance_commutation(rho, pauli_product_set())[1]
         assert np.allclose(omega, 0.0, atol=1e-12)
 
     def test_collective_entries_at_t_zero(self):
         m = 5
         rho = product_state(spin_coherent_x(m), spin_coherent_x(m)).density()
-        omega = commutation_matrix(rho, collective_spin_set(m))
+        omega = covariance_commutation(rho, collective_spin_set(m))[1]
         assert omega[0, 1] == pytest.approx(0.0, abs=1e-10)  # 2<Sz_A>
         assert omega[1, 2] == pytest.approx(2 * m, rel=1e-12)  # 2<Sx_A>
         # operators on different subsystems commute
@@ -96,7 +94,7 @@ class TestCommutationMatrix:
     def test_matches_entrywise_oracle(self, rng):
         rho = oracles.random_density(rng, 5)
         mats = [oracles.random_hermitian(rng, 5) for _ in range(3)]
-        omega = commutation_matrix(rho, mats)
+        omega = covariance_commutation(rho, mats)[1]
         for j in range(3):
             for k in range(3):
                 expected = oracles.commutation_entry(rho, mats[j], mats[k])
@@ -112,8 +110,7 @@ class TestUncertaintyMatrix:
         rho = oracles.random_density(rng, 6)
         mats = [oracles.random_hermitian(rng, 6) for _ in range(4)]
         u = uncertainty_matrix(rho, mats)
-        v = covariance_matrix(rho, mats)
-        omega = commutation_matrix(rho, mats)
+        v, omega = covariance_commutation(rho, mats)
         assert np.allclose(u, v + 0.5j * omega, atol=1e-12)
 
     def test_pure_state_equals_gram_matrix(self, rng):
@@ -140,7 +137,21 @@ class TestObservableInputs:
         # a local member stores its factor, which has no joint dimensions
         member = collective_spin_set(2)[0]
         with pytest.raises(ValueError, match="'Sx_A' needs an ObservableSet"):
-            covariance_matrix(np.eye(9) / 9, [member])
+            covariance_commutation(np.eye(9) / 9, [member])
+
+    def test_non_hermitian_raw_operator_rejected_by_position(self):
+        # ObservableSet's own rule: a defect of 1e-9 against max(1, ||x||) fails
+        x = np.eye(2, dtype=complex)
+        x[0, 1] = 1e-9
+        for call in (lambda ops: covariance_commutation(np.eye(2) / 2, ops),
+                     lambda ops: uncertainty_matrix(np.eye(2) / 2, ops)):
+            with pytest.raises(ValueError, match="observable 1 is not Hermitian"):
+                call([np.eye(2), x])
+        with pytest.raises(ValueError, match="observable 0 is not Hermitian"):
+            covariance_commutation(np.eye(2) / 2, [[[0, 1], [0, 0]]])
+        # within the tolerance the raw operator is accepted
+        x[0, 1] = 1e-11
+        assert covariance_commutation(np.eye(2) / 2, [x])[0].shape == (1, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -609,15 +620,15 @@ class TestDetect:
         stack = np.array([oracles.random_hermitian(rng, 5) for _ in range(6)]
                          + [np.eye(5)])
         reports = detect(stack, 1e-3)
-        assert len(reports) == 7
-        for m, report in zip(stack, reports):
+        assert len(reports.eigenvalues) == 7
+        for i, m in enumerate(stack):
             single = detect(m, 1e-3)
-            assert report.eigenvalues.tobytes() == single.eigenvalues.tobytes()
-            assert report.min_eigenvalue == single.min_eigenvalue
-            assert report.determinant == single.determinant
-            assert report.verdict == single.verdict
-            assert report.tolerance == single.tolerance
-        assert reports[-1].verdict == UNDETECTED
+            assert reports.eigenvalues[i].tobytes() == single.eigenvalues.tobytes()
+            assert reports.min_eigenvalue[i] == single.min_eigenvalue
+            assert reports.determinant[i] == single.determinant
+            assert reports.verdict[i] == single.verdict
+            assert reports.tolerance == single.tolerance
+        assert reports.verdict[-1] == UNDETECTED
 
     def test_stack_with_non_hermitian_member_rejected(self, rng):
         stack = np.array([oracles.random_hermitian(rng, 3) for _ in range(4)])
@@ -641,20 +652,30 @@ class TestDetect:
             assert report.min_eigenvalue == below
             assert report.verdict == ENTANGLED
 
-
     def test_stack_report_properties_are_member_arrays(self, rng):
         stack = np.array([oracles.random_hermitian(rng, 4) for _ in range(5)] + [np.eye(4)])
         report = detect(stack, 1e-3)
-        members = list(report)
+        members = [CriterionReport(eigs, report.tolerance) for eigs in report.eigenvalues]
         assert report.eigenvalues.shape == (6, 4)
         assert report.min_eigenvalue.tolist() == [r.min_eigenvalue for r in members]
         assert report.determinant.tolist() == [r.determinant for r in members]
         assert report.verdict.tolist() == [r.verdict for r in members]
         assert [type(x) for x in (members[0].min_eigenvalue, members[0].determinant,
                                   members[0].verdict)] == [float, float, str]
-        assert report[1:3].eigenvalues.tobytes() == report.eigenvalues[1:3].tobytes()
-        with pytest.raises(TypeError, match="no members"):
-            len(detect(np.eye(3)))
+        # a report is read through its arrays: it is neither sized nor indexed
+        for one in (report, detect(np.eye(3))):
+            with pytest.raises(TypeError):
+                len(one)
+            with pytest.raises(TypeError):
+                one[0]
+
+    def test_empty_matrix_rejected_and_empty_stack_kept(self):
+        with pytest.raises(ValueError, match="dimension at least 1, got 0 x 0"):
+            detect(np.zeros((0, 0)))
+        empty = detect(np.zeros((0, 3, 3)))
+        assert empty.eigenvalues.shape == (0, 3)
+        assert empty.min_eigenvalue.shape == empty.verdict.shape == (0,)
+
 
 class TestCorrelationDataPath:
     def build_data(self, m=3, mu=0.9, t=0.25):

@@ -10,6 +10,7 @@ from entcov.linalg import (
     kron,
     partial_transpose,
     psd_project,
+    transpose_factor,
 )
 
 import oracles
@@ -44,12 +45,14 @@ class TestPartialTranspose:
 
     @pytest.mark.parametrize("subsystem", ["A", "B"])
     def test_matches_index_loop_oracle(self, rng, subsystem):
-        for da, db in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        for da, db in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]:
             m = rng.standard_normal((da * db, da * db)) + 1j * rng.standard_normal(
                 (da * db, da * db)
             )
             expected = oracles.partial_transpose_loops(m, da, db, subsystem)
             assert np.array_equal(partial_transpose(m, da, db, subsystem), expected)
+            # the unchecked permutation the annealer's projections call
+            assert np.array_equal(transpose_factor(m, da, db, subsystem), expected)
 
     def test_involution_and_isometry(self, rng):
         for _ in range(1000):

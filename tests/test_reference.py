@@ -7,7 +7,9 @@ from entcov.criterion import ENTANGLED, UNDETECTED, criterion_matrix, detect
 from entcov.linalg import kron, partial_transpose
 from entcov.observables import collective_spin_set, rotate_so3
 from entcov.reference import (
+    WITNESS_VERDICT_TOL,
     AnnealParams,
+    WitnessResult,
     decomposable_split,
     duan_simon_report,
     ppt_min_eigenvalue,
@@ -50,11 +52,13 @@ class TestPptMinEigenvalue:
             da = int(rng.integers(2, 4))
             db = int(rng.integers(2, 4))
             psi = np.kron(oracles.random_pure(rng, da), oracles.random_pure(rng, db))
-            rho = np.outer(psi, psi.conj())
-            assert ppt_min_eigenvalue(rho, da, db) >= -1e-12
+            rho = DensityMatrix(da, db, np.outer(psi, psi.conj()))
+            assert ppt_min_eigenvalue(rho) >= -1e-12
 
-    def test_raw_matrix_requires_dims(self):
-        with pytest.raises(ValueError, match="dim"):
+    def test_raw_matrix_rejected(self):
+        # a raw array carries no bipartition to transpose over
+        with pytest.raises(TypeError, match="needs a PureState, WernerState or DensityMatrix, "
+                                            "got ndarray"):
             ppt_min_eigenvalue(np.eye(4) / 4)
 
     def test_closed_form_product_state(self, rng):
@@ -238,6 +242,15 @@ class TestWitnessOptimize:
     def test_non_finite_params_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=rf"{field} must lie in \(0, inf\)"):
             AnnealParams(**{field: value})
+
+    def test_verdict_at_tolerance_boundary(self):
+        # an expectation of exactly -WITNESS_VERDICT_TOL is not below it
+        def verdict(value):
+            return WitnessResult(value, np.zeros((4, 4)), 0.0, 0, 0).verdict
+
+        assert verdict(-WITNESS_VERDICT_TOL) == UNDETECTED
+        assert verdict(np.nextafter(-WITNESS_VERDICT_TOL, -1.0)) == ENTANGLED
+        assert verdict(0.1) == UNDETECTED
 
     def test_dimension_mismatch_rejected(self):
         rho = werner_mix(bell_state(), 0.5)

@@ -20,7 +20,6 @@ from entcov.states import (
     product_state,
     spin_coherent_x,
     spin_ensemble_state,
-    szsz_evolve,
     szsz_evolve_grid,
     werner_mix,
 )
@@ -217,7 +216,7 @@ class TestSpinCoherentX:
 class TestSzszEvolve:
     def test_time_zero_is_identity(self):
         state = product_state(spin_coherent_x(3), spin_coherent_x(3))
-        evolved = szsz_evolve(state, 0.0)
+        evolved = szsz_evolve_grid(state, [0.0])[0]
         assert np.array_equal(evolved.amplitudes, state.amplitudes)
 
     def test_phase_matches_matrix_exponential(self):
@@ -226,7 +225,7 @@ class TestSzszEvolve:
         sx, _, sz = collective_spin_matrices(m)
         state0 = product_state(spin_coherent_x(m), spin_coherent_x(m))
         expected = expm(1j * t * np.kron(sz, sz)) @ state0.amplitudes
-        assert np.allclose(szsz_evolve(state0, t).amplitudes, expected, atol=1e-12)
+        assert np.allclose(szsz_evolve_grid(state0, [t])[0].amplitudes, expected, atol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_disentangles_at_half_pi(self, m):
@@ -249,7 +248,7 @@ class TestSzszEvolve:
     def test_requires_equal_sides(self):
         state = product_state(spin_coherent_x(2), spin_coherent_x(3))
         with pytest.raises(ValueError):
-            szsz_evolve(state, 0.1)
+            szsz_evolve_grid(state, [0.1])
 
     def test_grid_rows_equal_single_times(self):
         state = product_state(spin_coherent_x(20), spin_coherent_x(20))
@@ -257,4 +256,5 @@ class TestSzszEvolve:
         grid = szsz_evolve_grid(state, ts)
         assert len(grid) == len(ts)
         for t, evolved in zip(ts, grid):
-            assert evolved.amplitudes.tobytes() == szsz_evolve(state, t).amplitudes.tobytes()
+            single = szsz_evolve_grid(state, [t])[0]
+            assert evolved.amplitudes.tobytes() == single.amplitudes.tobytes()

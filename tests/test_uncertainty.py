@@ -50,6 +50,16 @@ class TestSchrodingerI2:
             y = oracles.random_hermitian(rng, dim)
             assert schrodinger_I2(rho, x, y) >= -1e-9
 
+    def test_matches_explicit_pair_formula(self, rng):
+        for _ in range(200):
+            dim = int(rng.integers(2, 6))
+            rho = oracles.random_density(rng, dim)
+            x = oracles.random_hermitian(rng, dim)
+            y = oracles.random_hermitian(rng, dim)
+            expected = oracles.pair_residual(rho, x, y)
+            scale = variance(rho, x) * variance(rho, y)
+            assert abs(schrodinger_I2(rho, x, y) - expected) <= 1e-12 * scale
+
 
 class TestSchrodingerI3:
     def test_zero_variance_member_gives_zero(self):
