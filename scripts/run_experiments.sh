@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate the CSV curve data for all bundled experiments.
 # Usage: scripts/run_experiments.sh [output-dir]   (default: results/)
+# Each command's wall time goes to stderr; the outputs do not carry it.
 set -euo pipefail
 
 OUT=${1:-results}
@@ -13,29 +14,37 @@ if ! command -v entcov >/dev/null 2>&1; then
     entcov() { python3 -m entcov.cli "$@"; }
 fi
 
+# wall time of each command, on stderr only, so the outputs stay unchanged
+timed() {
+    local start=${EPOCHREALTIME/[.,]/}
+    "$@"
+    local us=$(( ${EPOCHREALTIME/[.,]/} - start ))
+    printf '[%d.%03d s] %s\n' $(( us / 1000000 )) $(( us % 1000000 / 1000 )) "$*" >&2
+}
+
 R2=0.7071067811865476  # 1/sqrt(2)
 
 # two-qubit Werner-Bell eigenvalue sweep; detection sets in at mu = 1/3
-entcov werner-bell --mu-steps 201 --out "$OUT/werner_bell.csv"
+timed entcov werner-bell --mu-steps 201 --out "$OUT/werner_bell.csv"
 
 # pure-state spin ensembles, M = 20: eigenvalues, determinant, quadrature
 # comparison; the detection window closes near t = 0.13
-entcov spin-ensemble --m 20 --t-steps 200 --criteria cm,ds \
+timed entcov spin-ensemble --m 20 --t-steps 200 --criteria cm,ds \
     --out "$OUT/spin_m20_cm_ds.csv"
 
 # same sweep with both spin triples rotated 45 degrees about z: the
 # 6-operator spectra are unchanged, the rotated quadratures detect less
-entcov spin-ensemble --m 20 --t-steps 200 --criteria cm,ds \
+timed entcov spin-ensemble --m 20 --t-steps 200 --criteria cm,ds \
     --rotate $R2 $R2 0 -$R2 $R2 0 0 0 1 \
     --out "$OUT/spin_m20_rotated.csv"
 
 # mixed-state region maps: covariance criterion vs partial-transpose
 # spectrum, plus the annealed witness on the small system
-entcov spin-ensemble --m 2 --mu-min 0 --mu-max 1 --mu-steps 6 \
+timed entcov spin-ensemble --m 2 --mu-min 0 --mu-max 1 --mu-steps 6 \
     --t-steps 9 --t-max 0.8 --criteria cm,ppt,ew --seed 7 --jobs 2 \
     --ew-sweeps 80 --ew-t0 0.15 --ew-decay 0.95 \
     --out "$OUT/spin_m2_regions.csv"
-entcov spin-ensemble --m 20 --mu-min 0 --mu-max 1 --mu-steps 11 \
+timed entcov spin-ensemble --m 20 --mu-min 0 --mu-max 1 --mu-steps 11 \
     --t-steps 31 --t-max 0.3 --criteria cm,ppt \
     --out "$OUT/spin_m20_regions.csv"
 
@@ -43,14 +52,14 @@ entcov spin-ensemble --m 20 --mu-min 0 --mu-max 1 --mu-steps 11 \
 # (D = 40401) this runs in seconds and forms no D x D array, since the
 # criterion matrices come from the amplitude matrix and the ppt column
 # from its two largest Schmidt coefficients
-entcov spin-ensemble --m 200 --t-steps 31 --t-max 0.3 --criteria cm,ds,ppt \
+timed entcov spin-ensemble --m 200 --t-steps 31 --t-max 0.3 --criteria cm,ds,ppt \
     --out "$OUT/spin_m200_cm_ds_ppt.csv"
 
 # randomized property battery; its report is kept for compare_outputs.py
-entcov uncertainty-suite --trials 1000 --max-n 8 --seed 1 | tee "$OUT/uncertainty_suite.txt"
+timed entcov uncertainty-suite --trials 1000 --max-n 8 --seed 1 | tee "$OUT/uncertainty_suite.txt"
 
 # one documented witness run
-entcov witness --m 2 --mu 1.0 --t 0.3 --seed 0 --sweeps 80 --t0 0.15 \
+timed entcov witness --m 2 --mu 1.0 --t 0.3 --seed 0 --sweeps 80 --t0 0.15 \
     --decay 0.95 --out "$OUT/witness_point.csv"
 
 echo "all experiment data written to $OUT/"

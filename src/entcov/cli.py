@@ -14,6 +14,7 @@ input-validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -360,7 +361,10 @@ def _ensemble_config(args) -> EnsembleConfig:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parse_args fills
+    a fresh namespace on every call, so no option carries over."""
     parser = _Parser(
         prog="entcov",
         description="Entanglement detection from covariance and commutation matrices",
@@ -420,12 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decay", type=float, default=anneal.decay)
     p.add_argument("--box", type=float, default=anneal.box_scale)
     p.add_argument("--out", default=None, help="CSV path for the result row")
-    p.set_defaults(func=run_witness)
+    p.set_defaults(func=lambda a: run_witness(a))
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  The parser is built once
+    per process (build_parser), so repeated in-process calls only parse."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -11,12 +11,15 @@ transpose rule).  The route takes a grid, a list of same-shape pure states
 psi times a vector of mixing weights mu (criterion_grid): it forms p and the
 centered Gram matrix G_c once per psi, stacking the psis in chunks whose
 working set stays within GRID_CHUNK_BYTES, and then every mu's moments from
-that psi's G_c.  One PureState or WernerState is a 1 x 1 grid.  Otherwise
-one tracer (_trace_table) reads the set's cached pt_tables against the
-state for the criterion, and against PT_B(rho) for the moments, as
-Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list, held to the set's
-Hermiticity rule (observables.is_observable_hermitian), traces a per-call
-table of its own products, for the moments only.
+that psi's G_c; a factor with a real diagonal and exactly zero off-diagonal
+entries, such as S^z, scales Psi's rows or columns instead of multiplying
+it, to the same bits.  One PureState or WernerState is a 1 x 1 grid.
+Otherwise one tracer (_trace_table) reads the set's cached pt_tables
+against the state for the criterion, and against PT_B(rho) for the
+moments, as Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list, whose
+members must be finite and meet the set's Hermiticity rule
+(observables.is_observable_hermitian), traces a per-call table of its own
+products, for the moments only.
 
 The criterion matrix is bilinear in the operators, so the Duan-Simon (ds)
 test's, on the Holstein-Primakoff quadratures (S^y, S^z)_(A,B) / sqrt(2M),
@@ -68,8 +71,8 @@ def require_tolerance(tol) -> float:
 
 def _raw_table(observables, dim: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
     """Pairs j <= k, operators and products xi_j xi_k of a list of raw
-    dim x dim arrays; an operator of another shape, or one that is not
-    Hermitian, is rejected by position."""
+    dim x dim arrays; an operator of another shape, with a NaN or Inf
+    entry, or that is not Hermitian, is rejected by position."""
     mats = []
     for i, o in enumerate(observables):
         if isinstance(o, Observable):
@@ -82,6 +85,9 @@ def _raw_table(observables, dim: int) -> tuple[list[tuple[int, int]], np.ndarray
     if not mats:
         raise ValueError("observable list is empty")
     singles = np.array(mats)
+    bad = np.flatnonzero(~np.isfinite(singles).all(axis=(-2, -1)))
+    if bad.size:
+        raise ValueError(f"observable {bad[0]} contains NaN or Inf entries")
     bad = np.flatnonzero(~is_observable_hermitian(singles))
     if bad.size:
         raise ValueError(f"observable {bad[0]} is not Hermitian")
@@ -163,6 +169,17 @@ def _transpose_b_pairs(k: np.ndarray, on_b: np.ndarray) -> np.ndarray:
     return np.where(np.outer(on_b, on_b), np.swapaxes(k, -1, -2), k)
 
 
+def _diagonal_scaling(f: np.ndarray, on_b: bool) -> np.ndarray | None:
+    """For a factor with a real diagonal d and exactly zero off-diagonal
+    entries, the scaling by d of the float view (real and imaginary parts)
+    of an amplitude matrix: of its columns for a B factor, of its rows for
+    an A factor.  None for any other factor."""
+    d = np.diagonal(f)
+    if np.any(d.imag) or np.count_nonzero(f) > np.count_nonzero(d):
+        return None
+    return np.repeat(d.real, 2) if on_b else d.real[:, None]
+
+
 def _centered_gram(psis, obs_set, transpose_b: bool) -> tuple[np.ndarray, np.ndarray]:
     """p_j = Re<psi|v_j> and the Gram matrix G_c of v_j - p_j psi for each psi
     of psis, shapes (n_psi, N) and (n_psi, N, N).  The chunks are slices of
@@ -174,12 +191,18 @@ def _centered_gram(psis, obs_set, transpose_b: bool) -> tuple[np.ndarray, np.nda
     stacked amplitude matrices at once; a chunk holds as many psi as keep
     its v, the conjugate of v and its amplitude rows within GRID_CHUNK_BYTES.
     Every psi is computed alone within its chunk, so the chunking does not
-    change a bit of the result.
+    change a bit of the result.  A factor with a real diagonal and exactly
+    zero off-diagonal entries (S^z in the sextet, the rotated sextet and
+    the quadratures) scales the rows or columns of Psi instead
+    (_diagonal_scaling, read once per call): the matmul would only add
+    exact zeros to the same products, so the result is the same bit for
+    bit.
     """
     da, db = obs_set.dim_a, obs_set.dim_b
     n = len(obs_set)
     factors = [o.matrix.T if on_b and transpose_b else o.matrix
                for o, on_b in zip(obs_set, obs_set.on_b)]
+    scalings = [_diagonal_scaling(f, on_b) for f, on_b in zip(factors, obs_set.on_b)]
     chunk = max(1, GRID_CHUNK_BYTES // ((2 * n + 1) * da * db * 16))
     stack = as_state_stack(psis).matrices()
     if stack.shape[1:] != (da, db):
@@ -192,8 +215,10 @@ def _centered_gram(psis, obs_set, transpose_b: bool) -> tuple[np.ndarray, np.nda
         amps = mats.reshape(len(mats), -1)
         # each product is written into its slot of v: no list to stack
         v = np.empty((len(amps), n, da, db), dtype=complex)
-        for j, (f, on_b) in enumerate(zip(factors, obs_set.on_b)):
-            if on_b:
+        for j, (f, scale, on_b) in enumerate(zip(factors, scalings, obs_set.on_b)):
+            if scale is not None:
+                np.multiply(mats.view(float), scale, out=v[:, j].view(float))
+            elif on_b:
                 np.matmul(mats, f, out=v[:, j])
             else:
                 np.matmul(f, mats, out=v[:, j])

@@ -147,3 +147,34 @@ def bell_pt_matrix():
     out[0, 0] = out[3, 3] = 0.5
     out[1, 2] = out[2, 1] = 0.5
     return out
+
+
+def szsz_evolve_entries(amplitudes, m, ts):
+    """exp(i (M-2j)(M-2k) t) times the start amplitude, one complex exp per
+    entry of the (len(ts), D) grid, a row at a time."""
+    sz = (m - 2 * np.arange(m + 1)).astype(float)
+    phase = np.outer(sz, sz).ravel()
+    rows = np.empty((len(ts), phase.size), dtype=complex)
+    for t, row in zip(np.asarray(ts, dtype=float), rows):
+        np.multiply(1j * t, phase, out=row)
+        np.exp(row, out=row)
+        np.multiply(amplitudes, row, out=row)
+    return rows
+
+
+def centered_gram_matmul(mats, factors, on_b):
+    """p_j = Re<psi|v_j> and the Gram matrix of v_j - p_j psi for each
+    amplitude matrix Psi of the stack mats (n, dim_a, dim_b), with every
+    v_j formed by a matmul: f_j Psi for an A factor, Psi f_j for a B one."""
+    n, da, db = mats.shape
+    amps = mats.reshape(n, -1)
+    v = np.empty((n, len(factors), da, db), dtype=complex)
+    for j, (f, b_side) in enumerate(zip(factors, on_b)):
+        if b_side:
+            np.matmul(mats, f, out=v[:, j])
+        else:
+            np.matmul(f, mats, out=v[:, j])
+    v = v.reshape(n, len(factors), -1)
+    p = np.matmul(v, amps.conj()[:, :, None])[:, :, 0].real
+    v -= np.matmul(p[:, :, None].astype(complex), amps[:, None, :])
+    return p, np.matmul(v.conj(), np.swapaxes(v, -1, -2))

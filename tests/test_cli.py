@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entcov.cli import main
+from entcov.cli import build_parser, main
 from entcov.criterion import correlation_data_from_state, criterion_grid, criterion_matrix, detect
 from entcov.observables import collective_spin_set, hp_quadrature_set, rotate_so3
 from entcov.states import (WernerState, product_state, spin_coherent_x, spin_ensemble_state,
@@ -531,3 +531,39 @@ class TestOtherCommands:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+class TestParserReuse:
+    """One parser per process: each call parses into a fresh namespace."""
+
+    def sweep(self, out, *flags):
+        return main(["spin-ensemble", "--m", "2", "--t-steps", "3", *flags, "--out", str(out)])
+
+    def test_two_calls_build_one_parser(self, tmp_path):
+        build_parser.cache_clear()
+        assert self.sweep(tmp_path / "a.csv") == 0
+        assert self.sweep(tmp_path / "b.csv", "--criteria", "cm,ds") == 0
+        assert build_parser.cache_info().misses == 1
+        assert build_parser() is build_parser()
+
+    def test_no_option_carries_over(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert self.sweep(first, "--rotate", *ROTATE_45Z, "--criteria", "cm,ds",
+                          "--seed", "5", "--mu-min", "0.5") == 0
+        assert self.sweep(second) == 0
+        config = read_config(second)
+        assert config["rotate"] is None
+        assert config["criteria"] == ["cm"]
+        assert config["seed"] == 0
+        assert config["mu_grid"] == [1.0, 1.0, 1]
+        assert read_config(first)["rotate"] == [float(x) for x in ROTATE_45Z]
+
+    def test_usage_error_leaves_next_call_intact(self, tmp_path):
+        fresh = tmp_path / "fresh.csv"
+        assert self.sweep(fresh, "--rotate", *ROTATE_45Z) == 0
+        after = tmp_path / "after.csv"
+        assert main(["spin-ensemble", "--m", "2", "--t-steps", "x"]) == 1
+        assert main(["spin-ensemble", "--rotate", "1", "0"]) == 1
+        assert self.sweep(after, "--rotate", *ROTATE_45Z) == 0
+        # the same bytes but for the out path in the config line
+        assert after.read_text() == fresh.read_text().replace(str(fresh), str(after))

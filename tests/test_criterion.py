@@ -22,23 +22,27 @@ from entcov.criterion import (
     detect,
     uncertainty_matrix,
 )
-from entcov.criterion import GRID_CHUNK_BYTES, _amplitude_moments, _covariance_parts, _moments
+from entcov.criterion import (GRID_CHUNK_BYTES, _amplitude_moments, _centered_gram,
+                              _covariance_parts, _diagonal_scaling, _moments)
 from entcov.linalg import HermiticityError, partial_transpose
 from entcov.observables import (
     Observable,
     ObservableSet,
     collective_spin_set,
+    hp_quadrature_set,
     pauli_product_set,
     rotate_so3,
 )
 from entcov.states import (
     DensityMatrix,
     PureState,
+    PureStateStack,
     WernerState,
     bell_state,
     product_state,
     spin_coherent_x,
     spin_ensemble_state,
+    szsz_evolve_grid,
     werner_mix,
 )
 
@@ -152,6 +156,14 @@ class TestObservableInputs:
         # within the tolerance the raw operator is accepted
         x[0, 1] = 1e-11
         assert covariance_commutation(np.eye(2) / 2, [x])[0].shape == (1, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raw_operator_rejected_by_position(self, bad):
+        x = np.eye(2, dtype=complex)
+        x[1, 1] = bad
+        for ops, i in (([x], 0), ([np.eye(2), x], 1)):
+            with pytest.raises(ValueError, match=f"observable {i} contains NaN or Inf entries"):
+                covariance_commutation(np.eye(2) / 2, ops)
 
 
 @settings(max_examples=60, deadline=None)
@@ -510,6 +522,61 @@ def test_grid_chunks_change_no_bit():
             single = criterion_matrix(WernerState(psi, mu), spin)
             assert grid[i, j].tobytes() == single.tobytes()
     assert evaluator.matrix(psis[chunk]).tobytes() == grid[1, chunk].tobytes()
+
+
+class TestDiagonalFactors:
+    """A factor with exactly zero off-diagonal entries scales the amplitude
+    matrix instead of multiplying it, with the all-matmul route's bits."""
+
+    @staticmethod
+    def assert_gram_equals_matmul_route(psis, obs_set):
+        for transpose_b in (False, True):
+            factors = [o.matrix.T if on_b and transpose_b else o.matrix
+                       for o, on_b in zip(obs_set, obs_set.on_b)]
+            p, g_c = _centered_gram(psis, obs_set, transpose_b)
+            p_ref, g_ref = oracles.centered_gram_matmul(psis.matrices(), factors, obs_set.on_b)
+            assert p.tobytes() == p_ref.tobytes()
+            assert g_c.tobytes() == g_ref.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 20])
+    def test_spin_sets_equal_matmul_route(self, m):
+        r2 = 0.7071067811865476
+        spin = collective_spin_set(m)
+        c = spin_coherent_x(m)
+        psis = szsz_evolve_grid(product_state(c, c), np.linspace(-0.4, 3.5, 23))
+        # S^z_A and S^z_B, rotated about z or as the quadratures p_A and p_B
+        sets = ((spin, [2, 5]),
+                (rotate_so3(spin, [[r2, r2, 0], [-r2, r2, 0], [0, 0, 1]]), [2, 5]),
+                (hp_quadrature_set(m), [1, 3]))
+        for obs_set, sz_members in sets:
+            diagonal = [i for i, (o, on_b) in enumerate(zip(obs_set, obs_set.on_b))
+                        if _diagonal_scaling(o.matrix, on_b) is not None]
+            assert diagonal == sz_members
+            self.assert_gram_equals_matmul_route(psis, obs_set)
+
+    def test_random_local_set_equals_matmul_route(self, rng):
+        da, db = 2, 3
+        obs_set = ObservableSet((
+            Observable("za", np.diag(rng.standard_normal(da)), "A"),
+            Observable("ha", oracles.random_hermitian(rng, da), "A"),
+            Observable("zb", np.diag(rng.standard_normal(db)), "B"),
+            Observable("hb", oracles.random_hermitian(rng, db), "B"),
+        ), da, db)
+        diagonal = [_diagonal_scaling(o.matrix, on_b) is not None
+                    for o, on_b in zip(obs_set, obs_set.on_b)]
+        assert diagonal == [True, False, True, False]
+        psis = PureStateStack(da, db, [oracles.random_pure(rng, da * db) for _ in range(7)])
+        self.assert_gram_equals_matmul_route(psis, obs_set)
+
+    def test_one_off_diagonal_entry_is_not_diagonal(self):
+        f = np.diag([1.0, -2.0, 0.5]).astype(complex)
+        assert np.array_equal(_diagonal_scaling(f, True), [1.0, 1.0, -2.0, -2.0, 0.5, 0.5])
+        assert np.array_equal(_diagonal_scaling(f, False), [[1.0], [-2.0], [0.5]])
+        f[2, 0] = 1e-300
+        for on_b in (False, True):
+            assert _diagonal_scaling(f, on_b) is None
+            # nor is a diagonal with an imaginary entry
+            assert _diagonal_scaling(np.diag([1.0, 1e-12j]), on_b) is None
 
 
 class TestGridInputs:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from entcov.linalg import partial_transpose
-from entcov.observables import collective_spin_matrices
+from entcov.observables import PAULI_X, PAULI_Z, collective_spin_matrices
 from entcov.states import (
     DensityMatrix,
     PureState,
@@ -23,6 +23,7 @@ from entcov.states import (
     szsz_evolve_grid,
     werner_mix,
 )
+from entcov.uncertainty import variance
 
 import oracles
 
@@ -69,6 +70,30 @@ class TestDensityMatrix:
         state = DensityMatrix(2, 2, m)
         with pytest.raises(ValueError, match="negative eigenvalue"):
             state.validate()
+
+
+class TestRawStateRules:
+    """A raw array given as a state is held to DensityMatrix's rules."""
+
+    @pytest.mark.parametrize("m, match", [
+        ([[2, 0], [0, 0]], "trace"),
+        ([[1, 1], [0, 0]], "not Hermitian"),
+        ([[np.nan, 0], [0, 1]], "NaN or Inf"),
+        ([[0.5, np.inf], [np.inf, 0.5]], "NaN or Inf"),
+    ])
+    def test_rejected_by_name(self, m, match):
+        with pytest.raises(ValueError, match=match):
+            as_matrix(m)
+        with pytest.raises(ValueError, match=match):
+            DensityMatrix(2, 1, m)
+        op = PAULI_Z if match == "trace" else PAULI_X
+        with pytest.raises(ValueError, match=match):
+            variance(m, op)
+
+    def test_valid_raw_state_accepted_as_is(self, rng):
+        rho = oracles.random_density(rng, 4)
+        assert as_matrix(rho).tobytes() == rho.astype(complex).tobytes()
+        assert variance(np.eye(2) / 2, PAULI_Z) == pytest.approx(1.0)
 
 
 class TestBellState:
@@ -249,6 +274,16 @@ class TestSzszEvolve:
         state = product_state(spin_coherent_x(2), spin_coherent_x(3))
         with pytest.raises(ValueError):
             szsz_evolve_grid(state, [0.1])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
+    def test_phase_table_bitwise_equals_per_entry_exp(self, m):
+        # t = 0, negative t and t beyond pi, in one grid and one at a time
+        state = product_state(spin_coherent_x(m), spin_coherent_x(m))
+        ts = np.array([0.0, -0.7, 0.013, 0.5, math.pi, 3.9, -5.2])
+        expected = oracles.szsz_evolve_entries(state.amplitudes, m, ts)
+        assert szsz_evolve_grid(state, ts).amplitudes.tobytes() == expected.tobytes()
+        for t, row in zip(ts, expected):
+            assert szsz_evolve_grid(state, [t]).amplitudes.tobytes() == row.tobytes()
 
     def test_grid_rows_equal_single_times(self):
         state = product_state(spin_coherent_x(20), spin_coherent_x(20))
