@@ -58,8 +58,11 @@ timed entcov spin-ensemble --m 200 --t-steps 31 --t-max 0.3 --criteria cm,ds,ppt
 # randomized property battery; its report is kept for compare_outputs.py
 timed entcov uncertainty-suite --trials 1000 --max-n 8 --seed 1 | tee "$OUT/uncertainty_suite.txt"
 
-# one documented witness run
+# one documented witness run, and the same point from annealer seed 1, so
+# compare_outputs.py covers both seeds the witness benchmark runs
 timed entcov witness --m 2 --mu 1.0 --t 0.3 --seed 0 --sweeps 80 --t0 0.15 \
     --decay 0.95 --out "$OUT/witness_point.csv"
+timed entcov witness --m 2 --mu 1.0 --t 0.3 --seed 1 --sweeps 80 --t0 0.15 \
+    --decay 0.95 --out "$OUT/witness_point_seed1.csv"
 
 echo "all experiment data written to $OUT/"

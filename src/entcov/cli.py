@@ -5,10 +5,12 @@ CSV files carry a '#'-prefixed header embedding the full configuration, so
 every output is reproducible from the file alone.  A spin-ensemble sweep
 evolves its states into one checked PureStateStack and forms one criterion
 grid of the spin sextet for cm and ds alike: the ds matrices are its
-quadrature block divided by 2M.  Each CSV column is formatted from one
-array.  Verdict flips along a sweep axis are reported as the midpoint of
-the bracketing grid cells.  Exit codes: 0 success, 1 usage error, 2
-input-validation error, 3 numerical failure.
+quadrature block divided by 2M, and werner-bell eigensolves the stack of
+its criterion matrices in one detect call.  Every command hands its CSV
+columns, named 1-D arrays, to the one writer _write_csv.  Verdict flips
+along a sweep axis are reported as the midpoint of the bracketing grid
+cells.  Exit codes: 0 success, 1 usage error, 2 input-validation error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -102,9 +104,11 @@ class EnsembleConfig(SweepConfig):
     def __post_init__(self):
         super().__post_init__()
         _check_grid("t", self.t_grid)
-        for c in self.criteria:
+        for i, c in enumerate(self.criteria):
             if c not in CRITERIA:
                 raise ValueError(f"unknown criterion {c!r}; choose from {','.join(CRITERIA)}")
+            if c in self.criteria[:i]:
+                raise ValueError(f"criterion {c!r} is repeated")
         if not self.criteria:
             raise ValueError("at least one criterion is required")
         if self.jobs < 1:
@@ -151,7 +155,13 @@ def _point_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([int(master), int(index)]).generate_state(1)[0])
 
 
-def _write_csv(out, config: dict, comments, columns, rows):
+def _write_csv(out, config: dict, comments, columns: dict):
+    """The one CSV writer: the header, config and comment lines, then a row
+    per entry of the named 1-D columns, numbers formatted by _fmt_column
+    and strings (verdicts) as they are.  The comments are then printed."""
+    cells = [col.tolist() if col.dtype.kind == "U" else _fmt_column(col)
+             for col in map(np.asarray, columns.values())]
+    rows = list(zip(*cells))
     lines = ["# entcov " + config["experiment"].lower().replace("_", "-") + " output"]
     lines.append("# config: " + json.dumps(config, sort_keys=True))
     lines.extend("# " + c for c in comments)
@@ -163,27 +173,33 @@ def _write_csv(out, config: dict, comments, columns, rows):
     else:
         Path(out).write_text(text)
         print(f"wrote {out} ({len(rows)} rows)")
+    for c in comments:
+        print(c)
+
+
+def _report_columns(prefix: str, report: CriterionReport, every_eigenvalue: bool) -> dict:
+    """A stacked report's CSV columns, each name led by prefix: every
+    eigenvalue or only the minimum, then the determinant and the verdict."""
+    if every_eigenvalue:
+        columns = {f"{prefix}eig_{i + 1}": e for i, e in enumerate(report.eigenvalues.T)}
+    else:
+        columns = {f"{prefix}min_eig": report.min_eigenvalue}
+    columns[f"{prefix}det"] = report.determinant
+    columns[f"{prefix}verdict"] = report.verdict
+    return columns
 
 
 def run_werner_bell(cfg: SweepConfig) -> int:
-    """Eigenvalue sweep of the two-qubit Werner mixture of the Bell state."""
+    """Eigenvalue sweep of the two-qubit Werner mixture of the Bell state;
+    the criterion matrices of every mu are eigensolved in one detect call."""
     obs_set = pauli_product_set()
     bell = bell_state()
     mus = np.linspace(*cfg.mu_grid)
-    columns = ["mu", "eig_1", "eig_2", "eig_3", "det", "verdict"]
-    rows = []
-    flags = []
-    for mu in mus:
-        report = detect(criterion_matrix(werner_mix(bell, mu), obs_set), cfg.tolerance)
-        rows.append(
-            [_fmt(mu), *(_fmt(e) for e in report.eigenvalues),
-             _fmt(report.determinant), report.verdict]
-        )
-        flags.append(report.verdict == ENTANGLED)
+    matrices = np.array([criterion_matrix(werner_mix(bell, mu), obs_set) for mu in mus])
+    report = detect(matrices, cfg.tolerance)
+    flags = report.verdict == ENTANGLED
     comments = [f"verdict flip at mu = {_fmt(x)}" for x in _flip_midpoints(mus, flags)]
-    _write_csv(cfg.out, asdict(cfg), comments, columns, rows)
-    for c in comments:
-        print(c)
+    _write_csv(cfg.out, asdict(cfg), comments, {"mu": mus, **_report_columns("", report, True)})
     return EXIT_OK
 
 
@@ -203,10 +219,10 @@ def _detect_rows(grid: np.ndarray, tol: float) -> CriterionReport:
     return CriterionReport(np.concatenate([detect(row, tol).eigenvalues for row in grid]), tol)
 
 
-def _ensemble_grid(cfg: EnsembleConfig, spin, mus, ts):
-    """Criterion reports by name, each one stacked report of the whole
-    (mu, t) grid, the PPT minima and the witness results, in row order
-    (mu major).
+def _ensemble_columns(cfg: EnsembleConfig, spin, mus, ts):
+    """The CSV columns by name, in CSV order, over the (mu, t) grid in row
+    order (mu major), and the stacked cm and ds reports whose verdict flips
+    are reported.
 
     psi is evolved for every t into one checked PureStateStack from a
     t-free start built once.  cm and ds both read one criterion grid of the
@@ -219,15 +235,18 @@ def _ensemble_grid(cfg: EnsembleConfig, spin, mus, ts):
     """
     coherent = spin_coherent_x(cfg.m)
     states = szsz_evolve_grid(product_state(coherent, coherent), ts)
-    ppt = ppt_min_eigenvalue_grid(states, mus).ravel() if "ppt" in cfg.criteria else None
+    columns = {"mu": np.repeat(mus, len(ts)), "t": np.tile(ts, len(mus))}
     reports = {}
     if "cm" in cfg.criteria or "ds" in cfg.criteria:
         grid = criterion_grid(states, mus, spin)
         if "cm" in cfg.criteria:
             reports["cm"] = _detect_rows(grid, cfg.tolerance)
+            columns.update(_report_columns("cm_", reports["cm"], True))
         if "ds" in cfg.criteria:
             reports["ds"] = _detect_rows(hp_quadrature_block(grid, cfg.m), cfg.tolerance)
-    ew_results = None
+            columns.update(_report_columns("ds_", reports["ds"], False))
+    if "ppt" in cfg.criteria:
+        columns["ppt_min_eig"] = ppt_min_eigenvalue_grid(states, mus).ravel()
     if "ew" in cfg.criteria:
         params = cfg.anneal
         points = [WernerState(psi, mu) for mu in mus for psi in states]
@@ -236,15 +255,16 @@ def _ensemble_grid(cfg: EnsembleConfig, spin, mus, ts):
         workers = min(cfg.jobs, len(tasks))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                ew_results = list(pool.map(witness_optimize, *zip(*tasks)))
+                results = list(pool.map(witness_optimize, *zip(*tasks)))
         else:
-            ew_results = [witness_optimize(*task) for task in tasks]
-    return reports, ppt, ew_results
+            results = [witness_optimize(*task) for task in tasks]
+        columns["ew_min_expectation"] = [r.min_expectation for r in results]
+        columns["ew_residual"] = [r.feasibility_residual for r in results]
+    return columns, reports
 
 
 def run_spin_ensemble(cfg: EnsembleConfig) -> int:
-    """Criteria comparison over the (mu, t) grid of two evolved ensembles;
-    each CSV column is formatted from one array."""
+    """Criteria comparison over the (mu, t) grid of two evolved ensembles."""
     if cfg.m < 1:
         raise ValueError("ensemble size m must be >= 1")
     if "ew" in cfg.criteria:
@@ -255,35 +275,12 @@ def run_spin_ensemble(cfg: EnsembleConfig) -> int:
 
     mus = np.linspace(*cfg.mu_grid)
     ts = np.linspace(*cfg.t_grid)
-    reports, ppt, ew_results = _ensemble_grid(cfg, spin, mus, ts)
-    columns = {"mu": _fmt_column(np.repeat(mus, len(ts))), "t": _fmt_column(np.tile(ts, len(mus)))}
-    if "cm" in reports:
-        report = reports["cm"]
-        for i, eigs in enumerate(report.eigenvalues.T):
-            columns[f"cm_eig_{i + 1}"] = _fmt_column(eigs)
-        columns["cm_det"] = _fmt_column(report.determinant)
-        columns["cm_verdict"] = report.verdict.tolist()
-    if "ds" in reports:
-        report = reports["ds"]
-        columns["ds_min_eig"] = _fmt_column(report.min_eigenvalue)
-        columns["ds_det"] = _fmt_column(report.determinant)
-        columns["ds_verdict"] = report.verdict.tolist()
-    if ppt is not None:
-        columns["ppt_min_eig"] = _fmt_column(ppt)
-    if ew_results is not None:
-        columns["ew_min_expectation"] = _fmt_column([r.min_expectation for r in ew_results])
-        columns["ew_residual"] = _fmt_column([r.feasibility_residual for r in ew_results])
-    rows = list(zip(*columns.values()))
-
-    comments = []
-    for name, report in reports.items():
-        flags = (report.verdict == ENTANGLED).reshape(len(mus), len(ts))
-        for mu, mu_flags in zip(mus, flags):
-            for x in _flip_midpoints(ts, mu_flags):
-                comments.append(f"{name} verdict flip at t = {_fmt(x)} for mu = {_fmt(mu)}")
-    _write_csv(cfg.out, asdict(cfg), comments, list(columns), rows)
-    for c in comments:
-        print(c)
+    columns, reports = _ensemble_columns(cfg, spin, mus, ts)
+    comments = [f"{name} verdict flip at t = {_fmt(x)} for mu = {_fmt(mu)}"
+                for name, report in reports.items()
+                for mu, flags in zip(mus, (report.verdict == ENTANGLED).reshape(len(mus), -1))
+                for x in _flip_midpoints(ts, flags)]
+    _write_csv(cfg.out, asdict(cfg), comments, columns)
     return EXIT_OK
 
 
@@ -332,12 +329,11 @@ def run_witness(args) -> int:
             "m": args.m, "mu": args.mu, "t": args.t, "seed": args.seed,
             "sweeps": args.sweeps, "t0": args.t0, "decay": args.decay, "box": args.box,
         }
-        columns = ["min_expectation", "feasibility_residual", "iterations"]
-        columns += [f"c_{i}{j}" for i in range(4) for j in range(4)]
-        row = [_fmt(result.min_expectation), _fmt(result.feasibility_residual),
-               str(result.iterations)]
-        row += [_fmt(c) for c in result.coefficients.ravel()]
-        _write_csv(args.out, config, [], columns, [row])
+        names = ["min_expectation", "feasibility_residual", "iterations"]
+        names += [f"c_{i}{j}" for i in range(4) for j in range(4)]
+        row = [result.min_expectation, result.feasibility_residual, result.iterations,
+               *result.coefficients.ravel()]
+        _write_csv(args.out, config, [], {name: [x] for name, x in zip(names, row)})
     return EXIT_OK
 
 

@@ -428,6 +428,10 @@ class CorrelationData:
     @classmethod
     def from_dict(cls, payload: dict) -> "CorrelationData":
         try:
+            # tuple() of a string would split it into characters
+            for field in ("labels", "partition", "pt_parity"):
+                if not isinstance(payload[field], list):
+                    raise TypeError(f"{field} must be a list, got {type(payload[field]).__name__}")
             return cls(
                 labels=tuple(payload["labels"]),
                 partition=tuple(payload["partition"]),

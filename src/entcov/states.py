@@ -6,6 +6,8 @@ spins follow the Pauli-sum convention S = sum_l sigma_l, which makes the S^z
 eigenvalue of Dicke index k equal to M - 2k.  Joint amplitudes are stored
 flat with index j*(M+1) + k, j being the A-side Dicke index; this layout is
 the contract shared with the partial transpose and the CSV exports.
+A PureState is checked as the one row of a PureStateStack, and a
+WernerState's mu by mixing_weights, the rule of a grid's weights.
 """
 
 from __future__ import annotations
@@ -25,27 +27,20 @@ STATE_PSD_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized pure state on a bipartite space, amplitudes stored flat."""
+    """Normalized pure state on a bipartite space, amplitudes stored flat,
+    held to PureStateStack's rules as its one row: a failing state's error
+    names row 0."""
 
     dim_a: int
     dim_b: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise ValueError("subsystem dimensions must be positive")
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.dim_a * self.dim_b,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, "
-                f"expected ({self.dim_a * self.dim_b},)"
-            )
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitude vector contains NaN or Inf entries")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", amps)
+        if amps.ndim != 1:
+            raise ValueError(f"amplitude vector has shape {amps.shape}, expected one axis")
+        stack = PureStateStack(self.dim_a, self.dim_b, amps[None])
+        object.__setattr__(self, "amplitudes", stack.amplitudes[0])
 
     @property
     def dim(self) -> int:
@@ -162,10 +157,7 @@ class WernerState:
     def __post_init__(self):
         if not isinstance(self.psi, PureState):
             raise ValueError(f"psi must be a PureState, got {type(self.psi).__name__}")
-        mu = float(self.mu)
-        if not 0.0 <= mu <= 1.0:
-            raise ValueError(f"mixing parameter mu={mu} outside [0, 1]")
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", float(mixing_weights([self.mu])[0]))
 
     def density(self) -> DensityMatrix:
         d = self.psi.dim
@@ -175,10 +167,11 @@ class WernerState:
 
 
 def mixing_weights(mus) -> np.ndarray:
-    """A grid's Werner mixing weights as a 1-D float array, each in [0, 1]."""
+    """Werner mixing weights as a 1-D float array, each in [0, 1]: the one
+    rule of a grid's weights and of WernerState's mu."""
     mus = np.asarray(mus, dtype=float)
     if mus.ndim != 1 or not np.all((mus >= 0.0) & (mus <= 1.0)):
-        raise ValueError(f"mixing parameters must be a list inside [0, 1], got {mus}")
+        raise ValueError(f"mixing parameters must form a list, none outside [0, 1], got {mus}")
     return mus
 
 

@@ -6,9 +6,10 @@ import pytest
 
 from entcov.cli import build_parser, main
 from entcov.criterion import correlation_data_from_state, criterion_grid, criterion_matrix, detect
-from entcov.observables import collective_spin_set, hp_quadrature_set, rotate_so3
-from entcov.states import (WernerState, product_state, spin_coherent_x, spin_ensemble_state,
-                           szsz_evolve_grid, werner_mix)
+from entcov.observables import (collective_spin_set, hp_quadrature_set, pauli_product_set,
+                                rotate_so3)
+from entcov.states import (WernerState, bell_state, product_state, spin_coherent_x,
+                           spin_ensemble_state, szsz_evolve_grid, werner_mix)
 
 
 ROTATE_45Z = ["0.7071067811865476", "0.7071067811865476", "0", "-0.7071067811865476",
@@ -47,6 +48,18 @@ class TestWernerBell:
         first = out.read_bytes()
         assert main(argv) == 0
         assert out.read_bytes() == first
+
+    def test_rows_are_the_per_mu_reports(self, tmp_path):
+        # one detect call of the stacked matrices gives each mu's own report, bit for bit
+        out = tmp_path / "wb.csv"
+        assert main(["werner-bell", "--mu-steps", "41", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        for row, mu in zip(rows, np.linspace(0.0, 1.0, 41), strict=True):
+            report = detect(criterion_matrix(werner_mix(bell_state(), mu), pauli_product_set()))
+            assert float(row["mu"]) == mu
+            assert [float(row[f"eig_{k + 1}"]) for k in range(3)] == report.eigenvalues.tolist()
+            assert float(row["det"]) == report.determinant
+            assert row["verdict"] == report.verdict
 
     def test_invalid_grid_is_validation_error(self, tmp_path):
         code = main(["werner-bell", "--mu-max", "1.5", "--out", str(tmp_path / "x.csv")])
@@ -271,6 +284,20 @@ class TestSpinEnsemble:
         assert float(rows[0]["ppt_min_eig"]) >= -1e-10
         assert all(float(r["ppt_min_eig"]) < 0 for r in rows[1:])
 
+    def test_repeated_criterion_rejected_before_any_state(self, tmp_path, capsys, monkeypatch):
+        import entcov.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("states evolved before the criteria were checked")
+
+        monkeypatch.setattr(entcov.cli, "szsz_evolve_grid", refuse)
+        out = tmp_path / "x.csv"
+        argv = ["spin-ensemble", "--m", "2", "--t-steps", "2", "--criteria", "cm,ds,cm",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "criterion 'cm' is repeated" in capsys.readouterr().err
+
     def test_witness_cap_error(self, tmp_path):
         code = main(["spin-ensemble", "--m", "20", "--criteria", "ew",
                      "--t-steps", "2", "--out", str(tmp_path / "x.csv")])
@@ -355,7 +382,8 @@ class TestFromData:
         assert main(["from-data", "--input", str(path)]) == 2
 
     @pytest.mark.parametrize(
-        "field, value", [("means", [float("nan"), 0.0]), ("labels", ["a", "a"])]
+        "field, value", [("means", [float("nan"), 0.0]), ("labels", ["a", "a"]),
+                         ("labels", "ab"), ("partition", "AB"), ("pt_parity", 1)]
     )
     def test_invalid_record_rejected_by_name(self, tmp_path, capsys, field, value):
         payload = {
@@ -520,6 +548,16 @@ class TestOtherCommands:
         assert header[0] == "min_expectation"
         assert len(rows) == 1
         assert "min_expectation:" in capsys.readouterr().out
+
+    def test_witness_csv_row_is_the_stdout_result(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert main(["witness", "--m", "1", "--sweeps", "1", "--out", str(out)]) == 0
+        printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines()[:3])
+        header, rows = read_rows(out)
+        assert header[:3] == ["min_expectation", "feasibility_residual", "iterations"]
+        assert len(header) == 19 and len(rows) == 1
+        assert rows[0]["iterations"] == "15"
+        assert {name: rows[0][name] for name in header[:3]} == printed
 
     def test_witness_cap(self):
         assert main(["witness", "--m", "20"]) == 2

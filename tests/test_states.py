@@ -42,6 +42,21 @@ class TestPureState:
         with pytest.raises(ValueError, match="NaN or Inf"):
             PureState(2, 2, np.array([np.nan, 0, 0, 0]))
 
+    @pytest.mark.parametrize("amps, match", [
+        ([np.nan, 0, 0, 0], "amplitude row 0 contains NaN or Inf"),
+        ([1.0, 0, 0, 1.0], "amplitude row 0 has norm .* deviates from 1"),
+        ([1.0, 0, 0], "amplitude stack has shape"),
+        ([[1.0, 0], [0, 0]], "amplitude vector has shape"),
+    ])
+    def test_held_to_the_stack_row_rule(self, amps, match):
+        # one state is checked as the one row of a PureStateStack
+        with pytest.raises(ValueError, match=match):
+            PureState(2, 2, np.array(amps))
+
+    def test_rejects_non_positive_dimensions(self):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            PureState(0, 1, np.array([1.0]))
+
     def test_density_round_trip(self, rng):
         psi = oracles.random_pure(rng, 6)
         rho = PureState(2, 3, psi).density()
@@ -129,6 +144,11 @@ class TestWernerMix:
         with pytest.raises(ValueError):
             werner_mix(bell_state(), mu)
         with pytest.raises(ValueError, match="outside"):
+            WernerState(bell_state(), mu)
+
+    @pytest.mark.parametrize("mu", [np.nan, -0.5])
+    def test_mu_read_by_the_grid_rule(self, mu):
+        with pytest.raises(ValueError, match="mixing parameters .* outside"):
             WernerState(bell_state(), mu)
 
     def test_werner_state_density_is_werner_mix(self, rng):
