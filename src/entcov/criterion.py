@@ -428,10 +428,11 @@ class CorrelationData:
     @classmethod
     def from_dict(cls, payload: dict) -> "CorrelationData":
         try:
-            # tuple() of a string would split it into characters
+            # tuple() would split a string into characters and a dict into keys
             for field in ("labels", "partition", "pt_parity"):
-                if not isinstance(payload[field], list):
-                    raise TypeError(f"{field} must be a list, got {type(payload[field]).__name__}")
+                value = payload[field]
+                if isinstance(value, (str, bytes, dict)) or not np.iterable(value):
+                    raise TypeError(f"{field} must be a sequence, got {type(value).__name__}")
             return cls(
                 labels=tuple(payload["labels"]),
                 partition=tuple(payload["partition"]),

@@ -52,11 +52,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
     """Frobenius distance from m to its Hermitian part, relative to ||m||
-    (0 for m = 0); an array of them for a stack (..., n, n).  One matrix
-    takes the flat norms, which are faster than the per-member ones."""
-    if m.ndim == 2:
-        norm = np.linalg.norm(m)
-        return np.linalg.norm(m - _adjoint(m)) / (norm or 1.0)
+    (0 for m = 0); an array of them for a stack (..., n, n)."""
     norm = np.linalg.norm(m, axis=(-2, -1))
     return np.linalg.norm(m - _adjoint(m), axis=(-2, -1)) / np.where(norm == 0, 1, norm)
 

@@ -170,8 +170,12 @@ def mixing_weights(mus) -> np.ndarray:
     """Werner mixing weights as a 1-D float array, each in [0, 1]: the one
     rule of a grid's weights and of WernerState's mu."""
     mus = np.asarray(mus, dtype=float)
-    if mus.ndim != 1 or not np.all((mus >= 0.0) & (mus <= 1.0)):
-        raise ValueError(f"mixing parameters must form a list, none outside [0, 1], got {mus}")
+    if mus.ndim != 1:
+        raise ValueError(f"mixing parameters must form a 1-D list, got shape {mus.shape}")
+    outside = mus[~((mus >= 0.0) & (mus <= 1.0))]
+    if outside.size:
+        got = ", ".join(map(str, outside.tolist()))
+        raise ValueError(f"mixing parameters must be in [0, 1] (none outside), got {got}")
     return mus
 
 

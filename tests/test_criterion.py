@@ -866,6 +866,18 @@ class TestCorrelationDataPath:
         with pytest.raises(DataValidationError, match="duplicate labels 'a'"):
             data.validate()
 
+    def test_tuple_fields_read_back(self):
+        # only the types tuple() misreads (str, dict) are rejected
+        _, _, data = self.build_data()
+        payload = data.to_dict()
+        for field in ("labels", "partition", "pt_parity"):
+            payload[field] = tuple(payload[field])
+        restored = CorrelationData.from_dict(payload).validate()
+        assert (restored.labels, restored.partition, restored.pt_parity) == (
+            data.labels, data.partition, data.pt_parity)
+        assert np.array_equal(criterion_matrix_from_data(restored),
+                              criterion_matrix_from_data(data))
+
     def test_missing_field_rejected(self):
         with pytest.raises(DataValidationError, match="missing field"):
             CorrelationData.from_dict({"labels": ["a"]})

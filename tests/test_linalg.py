@@ -7,7 +7,6 @@ from entcov.criterion import detect
 from entcov.linalg import (
     HermiticityError,
     hermitian_eigenvalues,
-    hermiticity_defect,
     kron,
     partial_transpose,
     psd_project,
@@ -106,16 +105,6 @@ class TestHermitianEigenvalues:
         stack[1, 0, 1] += 1e-6
         with pytest.raises(HermiticityError, match="stack member 1"):
             hermitian_eigenvalues(stack, stacked=True)
-
-    def test_one_matrix_defect_is_its_stack_members(self, rng):
-        # one matrix takes the flat norms, a stack the per-member ones
-        stack = np.array([oracles.random_hermitian(rng, 4) for _ in range(3)])
-        stack[1, 0, 2] += 1e-3j
-        stack[2] = 0.0
-        defects = hermiticity_defect(stack)
-        for m, defect in zip(stack, defects):
-            assert hermiticity_defect(m) == pytest.approx(defect, rel=1e-12, abs=1e-300)
-        assert defects[0] < 1e-15 < defects[1] and defects[2] == 0.0
 
     def test_symmetrizes_rounding_noise(self, rng):
         m = oracles.random_hermitian(rng, 5)
