@@ -7,6 +7,13 @@ set -euo pipefail
 OUT=${1:-results}
 mkdir -p "$OUT"
 
+# the amplitude-route columns sum their BLAS products in another order when
+# threaded, so the bytes depend on the thread count: one thread unless the
+# caller chose otherwise
+export OPENBLAS_NUM_THREADS=${OPENBLAS_NUM_THREADS:-1}
+export OMP_NUM_THREADS=${OMP_NUM_THREADS:-1}
+export MKL_NUM_THREADS=${MKL_NUM_THREADS:-1}
+
 # without an installed console script, run the package from this checkout
 if ! command -v entcov >/dev/null 2>&1; then
     SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/src"

@@ -265,8 +265,6 @@ def _ensemble_columns(cfg: EnsembleConfig, spin, mus, ts):
 
 def run_spin_ensemble(cfg: EnsembleConfig) -> int:
     """Criteria comparison over the (mu, t) grid of two evolved ensembles."""
-    if cfg.m < 1:
-        raise ValueError("ensemble size m must be >= 1")
     if "ew" in cfg.criteria:
         _require_witness_dim(cfg.m)
     spin = collective_spin_set(cfg.m)

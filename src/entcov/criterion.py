@@ -17,9 +17,8 @@ it, to the same bits.  One PureState or WernerState is a 1 x 1 grid.
 Otherwise one tracer (_trace_table) reads the set's cached pt_tables
 against the state for the criterion, and against PT_B(rho) for the
 moments, as Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list, whose
-members must be finite and meet the set's Hermiticity rule
-(observables.is_observable_hermitian), traces a per-call table of its own
-products, for the moments only.
+members must be finite and Hermitian by the set's rule, traces a per-call
+table of its own products, for the moments only.
 
 The criterion matrix is bilinear in the operators, so the Duan-Simon (ds)
 test's, on the Holstein-Primakoff quadratures (S^y, S^z)_(A,B) / sqrt(2M),
@@ -43,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, hermitize, partial_transpose
-from .observables import (SUPPORT_A, SUPPORT_B, Observable, ObservableSet,
-                          is_observable_hermitian, is_unit_parity)
+from .linalg import (INPUT_HERMITICITY_TOL, hermitian_eigenvalues, hermiticity_defect,
+                     hermitize, partial_transpose)
+from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet, is_unit_parity
 from .states import PureState, WernerState, as_matrix, as_state_stack, mixing_weights
 
 DEFAULT_VERDICT_TOL = 1e-9
@@ -88,7 +87,7 @@ def _raw_table(observables, dim: int) -> tuple[list[tuple[int, int]], np.ndarray
     bad = np.flatnonzero(~np.isfinite(singles).all(axis=(-2, -1)))
     if bad.size:
         raise ValueError(f"observable {bad[0]} contains NaN or Inf entries")
-    bad = np.flatnonzero(~is_observable_hermitian(singles))
+    bad = np.flatnonzero(hermiticity_defect(singles) > INPUT_HERMITICITY_TOL)
     if bad.size:
         raise ValueError(f"observable {bad[0]} is not Hermitian")
     pairs = [(j, k) for j in range(len(mats)) for k in range(j, len(mats))]

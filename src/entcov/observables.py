@@ -4,7 +4,8 @@ Holstein-Primakoff quadratures, and SO(3)-rotated variants.
 The Dicke-basis matrix elements are real for S^x and S^z and purely
 imaginary for S^y, so the transpose over one subsystem acts on the
 generated operators as an exact sign: +1 for S^x, S^z and -1 for S^y.
-That sign is recorded as pt_parity on each observable.
+That sign is recorded as pt_parity on each observable.  ObservableSet
+checks Hermiticity and parity claims relative to each member's own norm.
 
 An observable tagged "A" or "B" stores its local factor a or b, a
 dim_a x dim_a or dim_b x dim_b matrix; one tagged "JOINT" stores the full
@@ -27,13 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import kron, partial_transpose
+from .linalg import INPUT_HERMITICITY_TOL, hermiticity_defect, kron, partial_transpose
 
 SUPPORT_A = "A"
 SUPPORT_B = "B"
 SUPPORT_JOINT = "JOINT"
 
-OBS_HERMITICITY_TOL = 1e-10
 PT_PARITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
 
@@ -52,14 +52,6 @@ HP_QUADRATURES = _Quadratures(("x_A", "p_A", "x_B", "p_B"), (1, 2, 4, 5), 2.0)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def is_observable_hermitian(m: np.ndarray) -> bool | np.ndarray:
-    """The one Hermiticity rule of observables, in a set or a raw list:
-    ||m - m^dagger|| within OBS_HERMITICITY_TOL of max(1, ||m||) in the
-    Frobenius norm; an array of them for a stack (..., n, n)."""
-    defect = np.linalg.norm(m - np.swapaxes(m, -1, -2).conj(), axis=(-2, -1))
-    return defect <= OBS_HERMITICITY_TOL * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
 
 
 def is_unit_parity(s) -> bool:
@@ -120,7 +112,7 @@ class ObservableSet:
                     f"observable {o.label!r} is tagged {o.support!r} but has shape "
                     f"{o.matrix.shape}, expected ({d}, {d})"
                 )
-            if not is_observable_hermitian(o.matrix):
+            if hermiticity_defect(o.matrix) > INPUT_HERMITICITY_TOL:
                 raise ValueError(f"observable {o.label!r} is not Hermitian")
             if o.pt_parity is not None:
                 # PT_B maps a (x) I_B to itself and I_A (x) b to I_A (x) b^T
@@ -128,7 +120,7 @@ class ObservableSet:
                     pt = partial_transpose(o.matrix, self.dim_a, self.dim_b, "B")
                 else:
                     pt = o.matrix.T if o.support == SUPPORT_B else o.matrix
-                scale = max(1.0, float(np.linalg.norm(o.matrix)))
+                scale = np.linalg.norm(o.matrix)
                 if np.linalg.norm(pt - o.pt_parity * o.matrix) > PT_PARITY_TOL * scale:
                     raise ValueError(
                         f"observable {o.label!r} does not have partial-transpose "

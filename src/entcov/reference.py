@@ -18,7 +18,8 @@ import numpy as np
 
 from .criterion import (DEFAULT_VERDICT_TOL, ENTANGLED, UNDETECTED, CriterionReport,
                         criterion_matrix, detect)
-from .linalg import clip_psd, hermitize, kron, partial_transpose, transpose_factor
+from .linalg import (clip_psd, hermitian_eigenvalues, hermitize, kron, partial_transpose,
+                     transpose_factor)
 from .observables import ObservableSet, collective_spin_matrices, hp_quadrature_set
 from .states import (DensityMatrix, PureState, WernerState, as_matrix, as_state_stack,
                      mixing_weights)
@@ -39,7 +40,7 @@ def ppt_min_eigenvalue(rho) -> float:
         raise TypeError("ppt_min_eigenvalue needs a PureState, WernerState or DensityMatrix, "
                         f"got {type(rho).__name__}")
     sigma = partial_transpose(rho.matrix, rho.dim_a, rho.dim_b, "B")
-    return float(np.linalg.eigvalsh(hermitize(sigma))[0])
+    return float(hermitian_eigenvalues(sigma)[0])
 
 
 def ppt_min_eigenvalue_grid(psis, mus) -> np.ndarray:
@@ -302,6 +303,8 @@ def witness_operator(coefficients, m: int) -> np.ndarray:
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (4, 4):
         raise ValueError(f"coefficients must be 4x4, got {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients contain NaN or Inf entries")
     out = np.zeros(((m + 1) ** 2, (m + 1) ** 2), dtype=complex)
     for i in range(4):
         for j in range(4):

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermiticity_defect
+from .linalg import INPUT_HERMITICITY_TOL, hermitian_eigenvalues, hermiticity_defect
 
 NORM_TOL = 1e-12
-STATE_HERMITICITY_TOL = 1e-10
 STATE_TRACE_TOL = 1e-10
 STATE_PSD_TOL = 1e-10
 
@@ -96,13 +95,13 @@ class PureStateStack:
 
 def _require_density_rules(m: np.ndarray) -> np.ndarray:
     """A square complex matrix as it is, if it is finite, Hermitian within
-    STATE_HERMITICITY_TOL and of unit trace within STATE_TRACE_TOL: the one
+    INPUT_HERMITICITY_TOL and of unit trace within STATE_TRACE_TOL: the one
     rule of DensityMatrix and of the raw arrays that as_matrix accepts.
     Positivity is left to DensityMatrix.validate."""
     if not np.isfinite(m).all():
         raise ValueError("density matrix contains NaN or Inf entries")
     defect = hermiticity_defect(m)
-    if defect > STATE_HERMITICITY_TOL:
+    if defect > INPUT_HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
     tr = m.trace()
     if abs(tr - 1.0) > STATE_TRACE_TOL:
@@ -136,7 +135,7 @@ class DensityMatrix:
         return self.dim_a * self.dim_b
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)[0])
+        return float(hermitian_eigenvalues(self.matrix)[0])
 
     def validate(self) -> "DensityMatrix":
         """Additionally check positive semidefiniteness."""
@@ -184,6 +183,8 @@ def as_state_stack(psis) -> "PureStateStack":
     PureStates that share one shape into a stack (a copy of their rows)."""
     if isinstance(psis, PureStateStack):
         return psis
+    if len(psis) == 0:
+        raise ValueError("a grid needs at least one state")
     shapes = {(psi.dim_a, psi.dim_b) if isinstance(psi, PureState) else None for psi in psis}
     if None in shapes:
         raise ValueError("grid states must be PureStates")
@@ -266,6 +267,8 @@ def szsz_evolve_grid(state: PureState, ts) -> PureStateStack:
     sz = (m - 2 * np.arange(m + 1)).astype(float)
     products, index = np.unique(np.outer(sz, sz).ravel(), return_inverse=True)
     ts = np.asarray(ts, dtype=float).ravel()
+    if not np.isfinite(ts).all():
+        raise ValueError(f"evolution time {int(np.argmin(np.isfinite(ts)))} is not finite")
     args = np.array([1j * t for t in ts], dtype=complex)[:, None]
     table = np.exp(args * products)
     amps = np.take(table, index, axis=1)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import uncertainty_matrix
+from .linalg import hermitize
 from .uncertainty import invariant_decomposition, schrodinger_I2, schrodinger_I3, variance
 
 PSD_FLOOR = -1e-9
@@ -31,7 +32,7 @@ class CheckResult:
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2
+    h = hermitize(g)
     return h / max(1.0, np.linalg.norm(h))
 
 
@@ -91,7 +92,7 @@ def run_property_battery(trials: int = DEFAULT_TRIALS, max_n: int = DEFAULT_MAX_
             p * uncertainty_matrix(np.outer(vec, vec.conj()), mats)
             for p, vec in zip(weights, vectors)
         )
-        gap = (u - u_parts + (u - u_parts).conj().T) / 2
+        gap = hermitize(u - u_parts)
         worst_concavity = max(worst_concavity, -float(np.linalg.eigvalsh(gap)[0]))
 
         psi = _random_pure(rng, dim)

@@ -530,7 +530,48 @@ class TestNonFiniteInputs:
         assert f"seed must be >= 0, got {seed}" in captured.err
 
 
+class TestSweepSettings:
+    """A sweep setting out of range is rejected by name before any output is written."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--t-steps", "0"], "t grid needs at least 1 step"),
+        (["--t-min", "1", "--t-max", "0"], "t grid has min 1.0 > max 0.0"),
+        (["--criteria", "xx"], "unknown criterion 'xx'; choose from cm,ds,ppt,ew"),
+        (["--jobs", "0"], "jobs must be >= 1"),
+        (["--m", "0"], "ensemble size must be >= 1"),
+    ], ids=["t-steps-0", "t-min-above-max", "unknown-criterion", "jobs-0", "m-0"])
+    def test_rejected_by_name(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.csv"
+        assert main(["spin-ensemble", "--m", "2", "--t-steps", "2", *flags,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == ""
+        assert message in captured.err
+
+
 class TestOtherCommands:
+    def test_csv_to_stdout_without_out(self, tmp_path, capsys):
+        out = tmp_path / "wb.csv"
+        assert main(["werner-bell", "--mu-steps", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["werner-bell", "--mu-steps", "5"]) == 0
+        printed = capsys.readouterr().out
+        # the same CSV but for the out entry of its config line, then the flip comment
+        csv = out.read_text().replace(json.dumps(str(out)), "null")
+        assert printed == csv + "verdict flip at mu = 0.375\n"
+
+    def test_linalg_failure_is_numerical_exit(self, tmp_path, capsys, monkeypatch):
+        import entcov.cli
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(entcov.cli, "detect", fail)
+        out = tmp_path / "wb.csv"
+        assert main(["werner-bell", "--mu-steps", "3", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
+
     def test_uncertainty_suite_quick(self, capsys):
         assert main(["uncertainty-suite", "--trials", "25", "--seed", "9"]) == 0
         out = capsys.readouterr().out

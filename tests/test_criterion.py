@@ -597,6 +597,11 @@ class TestGridInputs:
         with pytest.raises(ValueError, match="tagged 'A' or 'B'"):
             criterion_grid([bell_state()], [1.0], pauli_product_set())
 
+    def test_rejects_an_empty_grid_by_name(self):
+        # it was blamed on shapes: "grid states must share one shape, got []"
+        with pytest.raises(ValueError, match="a grid needs at least one state"):
+            criterion_grid([], [1.0], collective_spin_set(2))
+
 
 def _definite_parity_factor(rng, dim, odd):
     """Real symmetric (transpose parity +1) or purely imaginary
@@ -910,3 +915,28 @@ class TestCorrelationDataPath:
         assert np.array_equal(
             criterion_matrix_from_data(restored), criterion_matrix_from_data(data)
         )
+
+
+VALID_RECORD = dict(labels=("a", "b"), partition=("A", "A"), pt_parity=(1, 1),
+                    means=np.zeros(2), v=np.eye(2), omega=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("labels", (), "no operators in correlation data"),
+    ("pt_parity", (1,), "pt_parity has length 1, expected 2"),
+    ("means", np.zeros(3), r"means has shape \(3,\), expected \(2,\)"),
+    ("partition", ("A", "C"), "partition tag 'C' must be 'A' or 'B'"),
+    ("v", np.eye(3), r"V has shape \(3, 3\), expected \(2, 2\)"),
+    ("omega", [[0.0, np.nan], [np.nan, 0.0]], "Omega contains NaN or Inf entries"),
+    ("omega", [[0.0, 0.5], [0.5, 0.0]], "Omega is not antisymmetric"),
+], ids=["no-operators", "length-mismatch", "means-shape", "partition-C", "v-shape",
+        "omega-nan", "omega-symmetric"])
+def test_invalid_record_rejected_by_name(field, value, message):
+    data = CorrelationData(**{**VALID_RECORD, field: value})
+    with pytest.raises(DataValidationError, match=message):
+        data.validate()
+
+
+def test_empty_raw_operator_list_rejected():
+    with pytest.raises(ValueError, match="observable list is empty"):
+        covariance_commutation(np.eye(2) / 2, [])

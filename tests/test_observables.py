@@ -246,6 +246,35 @@ class TestValidation:
         with pytest.raises(ValueError, match="parity -1"):
             ObservableSet((sy_a,), 2, 3)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_hermiticity_measured_on_member_norm(self, scale):
+        # an absolute floor below norm 1 accepted 1e-12 |0><1| as Hermitian
+        nilpotent = Observable("n", scale * np.array([[0, 1], [0, 0]]), "A")
+        with pytest.raises(ValueError, match="observable 'n' is not Hermitian"):
+            ObservableSet((nilpotent,), 2, 2)
+        assert len(ObservableSet((Observable("y", scale * oracles.SY, "A"),), 2, 2)) == 1
+
+    def test_parity_claim_measured_on_member_norm(self):
+        # an absolute floor below norm 1 accepted parity +1 on 1e-12 S^y_B
+        small = 1e-12 * oracles.SY
+        with pytest.raises(ValueError, match="does not have partial-transpose parity 1"):
+            ObservableSet((Observable("Sy_B", small, "B", 1),), 2, 2)
+        assert ObservableSet((Observable("Sy_B", small, "B", -1),), 2, 2)[0].pt_parity == -1
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Observable("c", np.eye(2), "C"), "unknown support tag 'C'"),
+        (lambda: Observable("r", np.ones((2, 3)), "A"), "observable 'r' is not a square matrix"),
+        (lambda: ObservableSet((), 2, 2), "observable set is empty"),
+        (lambda: collective_spin_matrices(0), "ensemble size must be >= 1"),
+        (lambda: hp_quadrature_set(0), "ensemble size must be >= 1"),
+        (lambda: rotate_so3(collective_spin_set(1), np.eye(2)),
+         r"rotation must be 3x3, got shape \(2, 2\)"),
+    ], ids=["support-C", "non-square", "empty-set", "spins-m0", "quadratures-m0",
+            "rotation-2x2"])
+    def test_invalid_input_rejected_by_name(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_local_factors(self):
         m = 3
         obs_set = collective_spin_set(m)

@@ -55,6 +55,15 @@ class TestPptMinEigenvalue:
             rho = DensityMatrix(da, db, np.outer(psi, psi.conj()))
             assert ppt_min_eigenvalue(rho) >= -1e-12
 
+    def test_dense_route_is_symmetrized_eigvalsh(self, rng):
+        for dim_a, dim_b in ((2, 2), (2, 3), (3, 3)):
+            g = oracles.random_hermitian(rng, dim_a * dim_b)
+            # a rounding-sized anti-Hermitian part that the eigensolve must drop
+            m = oracles.random_density(rng, dim_a * dim_b) + 1e-14j * g
+            sigma = partial_transpose(m, dim_a, dim_b, "B")
+            expected = np.linalg.eigvalsh((sigma + sigma.conj().T) / 2)[0]
+            assert ppt_min_eigenvalue(DensityMatrix(dim_a, dim_b, m)) == expected
+
     def test_raw_matrix_rejected(self):
         # a raw array carries no bipartition to transpose over
         with pytest.raises(TypeError, match="needs a PureState, WernerState or DensityMatrix, "
@@ -275,3 +284,16 @@ class TestWitnessOperator:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             witness_operator(np.zeros((3, 3)), 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ppt_min_eigenvalue_grid([], [1.0]), "a grid needs at least one state"),
+    (lambda: decomposable_split(np.eye(9), 2, 2), "matrix dimension 9 != dim_a[*]dim_b = 4"),
+    (lambda: witness_operator(np.full((4, 4), np.nan), 1),
+     "coefficients contain NaN or Inf entries"),
+    (lambda: witness_operator(np.diag([np.inf, 0, 0, 0]), 1),
+     "coefficients contain NaN or Inf entries"),
+], ids=["ppt-empty-grid", "split-dimension", "witness-nan", "witness-inf"])
+def test_invalid_input_rejected_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

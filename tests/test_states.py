@@ -17,6 +17,7 @@ from entcov.states import (
     as_matrix,
     as_state_stack,
     bell_state,
+    mixing_weights,
     product_state,
     spin_coherent_x,
     spin_ensemble_state,
@@ -73,6 +74,14 @@ class TestDensityMatrix:
         m[0, 1] = np.nan
         with pytest.raises(ValueError, match="NaN or Inf"):
             DensityMatrix(2, 2, m)
+
+    def test_min_eigenvalue_is_symmetrized_eigvalsh(self, rng):
+        for dim_a, dim_b in ((2, 2), (2, 3), (3, 3)):
+            g = oracles.random_hermitian(rng, dim_a * dim_b)
+            # a rounding-sized anti-Hermitian part that the eigensolve must drop
+            m = oracles.random_density(rng, dim_a * dim_b) + 1e-14j * g
+            expected = np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
+            assert DensityMatrix(dim_a, dim_b, m).min_eigenvalue() == expected
 
     def test_validate_flags_negative_eigenvalue(self):
         m = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
@@ -283,6 +292,13 @@ class TestSzszEvolve:
         fidelity = abs(np.vdot(shifted.amplitudes, state.amplitudes))
         assert fidelity == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_time_by_index(self, bad):
+        # the time, not the amplitude row its phases would fill with NaN
+        state = product_state(spin_coherent_x(2), spin_coherent_x(2))
+        with pytest.raises(ValueError, match="evolution time 1 is not finite"):
+            szsz_evolve_grid(state, [0.1, bad, 0.2])
+
     def test_requires_equal_sides(self):
         state = product_state(spin_coherent_x(2), spin_coherent_x(3))
         with pytest.raises(ValueError):
@@ -306,3 +322,18 @@ class TestSzszEvolve:
         for t, evolved in zip(ts, grid):
             single = szsz_evolve_grid(state, [t])[0]
             assert evolved.amplitudes.tobytes() == single.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DensityMatrix(0, 2, np.eye(0)), "subsystem dimensions must be positive"),
+    (lambda: DensityMatrix(2, 2, np.eye(2) / 2),
+     r"matrix has shape \(2, 2\), expected \(4, 4\)"),
+    (lambda: mixing_weights([[0.5]]), "mixing parameters must form a 1-D list"),
+    (lambda: as_matrix(np.ones((2, 3)) / 2), r"expected a square matrix, got shape \(2, 3\)"),
+    (lambda: spin_coherent_x(0), "ensemble size must be >= 1"),
+    (lambda: product_state(np.eye(2), [1.0]), "amplitude vectors must be one-dimensional"),
+], ids=["dimension-0", "wrong-shape", "weights-2d", "non-square-raw", "coherent-m0",
+        "product-2d"])
+def test_invalid_input_rejected_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from entcov.criterion import uncertainty_matrix
 from entcov.states import PureState, bell_state, werner_mix
+from entcov.suite import run_property_battery
 from entcov.uncertainty import (
     UncertaintyReport,
     invariant_decomposition,
@@ -25,6 +26,13 @@ class TestVariance:
     def test_pauli_on_basis_state(self):
         assert variance(KET0, SX) == pytest.approx(1.0)
         assert variance(KET0, SZ) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_raw_operator_hermiticity_measured_on_its_norm(self, scale):
+        # an absolute floor below norm 1 gave 1e-12 |0><1| a variance of 0.0
+        with pytest.raises(ValueError, match="observable 0 is not Hermitian"):
+            variance(MIXED_QUBIT, scale * np.array([[0, 1], [0, 0]]))
+        assert variance(MIXED_QUBIT, scale * SY) == pytest.approx(scale**2)
 
 
 class TestSchrodingerI2:
@@ -191,3 +199,13 @@ class TestUncertaintyReport:
     def test_negative_residual_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             UncertaintyReport(n=1, i_values={(0,): -1.0}, invariant_sums={1: -1.0})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: run_property_battery(trials=0), "trials and max_n must be positive"),
+    (lambda: UncertaintyReport(n=1, i_values={(0,): 1.0}, invariant_sums={1: -1.0}),
+     "order-1 invariant -1.000e[+]00 is negative"),
+], ids=["battery-no-trials", "negative-invariant"])
+def test_invalid_input_rejected_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
