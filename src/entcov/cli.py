@@ -3,10 +3,12 @@ file ingestion, the randomized property battery, and single witness runs.
 
 CSV files carry a '#'-prefixed header embedding the full configuration, so
 every output is reproducible from the file alone.  A spin-ensemble sweep
-evolves its states into one checked PureStateStack and forms one criterion
-grid of the spin sextet for cm and ds alike: the ds matrices are its
-quadrature block divided by 2M, and werner-bell eigensolves the stack of
-its criterion matrices in one detect call.  Every command hands its CSV
+evolves its t grid in blocks of at most GRID_CHUNK_BYTES of amplitudes and
+reduces each block at once to what its columns need, so only arrays of
+order n_t N^2 outlive a block.  cm and ds alike read one criterion grid of
+the spin sextet: the ds matrices are its quadrature block divided by 2M.
+werner-bell eigensolves the stack of its criterion matrices in one detect
+call.  Every command hands its CSV
 columns, named 1-D arrays, to the one writer _write_csv.  Verdict flips
 along a sweep axis are reported as the midpoint of the bracketing grid
 cells.  Exit codes: 0 success, 1 usage error, 2 input-validation error, 3
@@ -19,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -28,10 +29,11 @@ import numpy as np
 from .criterion import (
     DEFAULT_VERDICT_TOL,
     ENTANGLED,
+    GRID_CHUNK_BYTES,
     CorrelationData,
+    CriterionGrid,
     CriterionReport,
     DataValidationError,
-    criterion_grid,
     criterion_matrix,
     criterion_matrix_from_data,
     detect,
@@ -40,9 +42,9 @@ from .criterion import (
 from .linalg import HermiticityError
 from .observables import (collective_spin_set, hp_quadrature_block, pauli_product_set,
                           rotate_so3)
-from .reference import AnnealParams, ppt_min_eigenvalue_grid, witness_optimize
+from .reference import AnnealParams, PptGrid, witness_optimize
 from .states import (WernerState, bell_state, product_state, spin_coherent_x,
-                     spin_ensemble_state, szsz_evolve_grid, werner_mix)
+                     spin_ensemble_state, szsz_evolve_blocks, werner_mix)
 from .suite import DEFAULT_MAX_N, DEFAULT_TRIALS, run_property_battery
 
 EXIT_OK = 0
@@ -224,36 +226,50 @@ def _ensemble_columns(cfg: EnsembleConfig, spin, mus, ts):
     order (mu major), and the stacked cm and ds reports whose verdict flips
     are reported.
 
-    psi is evolved for every t into one checked PureStateStack from a
-    t-free start built once.  cm and ds both read one criterion grid of the
-    spin sextet, so each psi's Gram matrix is formed once for all mu and
-    both criteria: the ds matrices are its quadrature block divided by 2M
-    (hp_quadrature_block).  The PPT column reads every psi's Schmidt
-    coefficients from one stacked SVD.  Only the witness forms a D x D
-    state.  The states go out of scope on return, before the rows are
-    formatted.
+    psi is evolved from a t-free start built once, in blocks of at most
+    GRID_CHUNK_BYTES of amplitudes (szsz_evolve_blocks), and each block is
+    handed at once to every reduction its columns need, so a sweep holds
+    one block at a time.  cm and ds both read one CriterionGrid of the spin
+    sextet, which keeps each psi's p and Gram matrix, formed once for all mu
+    and both criteria: the ds matrices are its quadrature block divided by
+    2M (hp_quadrature_block).  The PPT column keeps each psi's two largest
+    Schmidt coefficients, from one SVD per block (PptGrid).  The witness,
+    capped at D <= EW_DIM_CAP, keeps every psi and is the only column that
+    forms a D x D state.
     """
     coherent = spin_coherent_x(cfg.m)
-    states = szsz_evolve_grid(product_state(coherent, coherent), ts)
+    gram = CriterionGrid(spin) if "cm" in cfg.criteria or "ds" in cfg.criteria else None
+    ppt = PptGrid() if "ppt" in cfg.criteria else None
+    psis = [] if "ew" in cfg.criteria else None
+    for block in szsz_evolve_blocks(product_state(coherent, coherent), ts, GRID_CHUNK_BYTES):
+        if gram is not None:
+            gram.add(block)
+        if ppt is not None:
+            ppt.add(block)
+        if psis is not None:
+            psis.extend(block)
     columns = {"mu": np.repeat(mus, len(ts)), "t": np.tile(ts, len(mus))}
     reports = {}
-    if "cm" in cfg.criteria or "ds" in cfg.criteria:
-        grid = criterion_grid(states, mus, spin)
+    if gram is not None:
+        grid = gram.matrices(mus)
         if "cm" in cfg.criteria:
             reports["cm"] = _detect_rows(grid, cfg.tolerance)
             columns.update(_report_columns("cm_", reports["cm"], True))
         if "ds" in cfg.criteria:
             reports["ds"] = _detect_rows(hp_quadrature_block(grid, cfg.m), cfg.tolerance)
             columns.update(_report_columns("ds_", reports["ds"], False))
-    if "ppt" in cfg.criteria:
-        columns["ppt_min_eig"] = ppt_min_eigenvalue_grid(states, mus).ravel()
-    if "ew" in cfg.criteria:
+    if ppt is not None:
+        columns["ppt_min_eig"] = ppt.min_eigenvalues(mus).ravel()
+    if psis is not None:
         params = cfg.anneal
-        points = [WernerState(psi, mu) for mu in mus for psi in states]
+        points = [WernerState(psi, mu) for mu in mus for psi in psis]
         tasks = [(p, cfg.m, params, _point_seed(cfg.seed, i)) for i, p in enumerate(points)]
-        # the pool forks all of its workers at the first submit
+        # the pool forks all of its workers at the first submit; it is loaded
+        # only here, the one place that runs it
         workers = min(cfg.jobs, len(tasks))
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(witness_optimize, *zip(*tasks)))
         else:

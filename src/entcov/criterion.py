@@ -8,12 +8,13 @@ the amplitude route, O(N dim^3) per psi with no D x D array: the local
 factors act on the amplitude matrix, B factors transposed for the moments
 and B-B pairs read transposed for the criterion (_transpose_b_pairs, the one
 transpose rule).  The route takes a grid, a list of same-shape pure states
-psi times a vector of mixing weights mu (criterion_grid): it forms p and the
-centered Gram matrix G_c once per psi, stacking the psis in chunks whose
-working set stays within GRID_CHUNK_BYTES, and then every mu's moments from
-that psi's G_c; a factor with a real diagonal and exactly zero off-diagonal
-entries, such as S^z, scales Psi's rows or columns instead of multiplying
-it, to the same bits.  One PureState or WernerState is a 1 x 1 grid.
+psi times a vector of mixing weights mu (criterion_grid, or CriterionGrid for
+psis that come in blocks): it forms p and the centered Gram matrix G_c once
+per psi, stacking the psis in chunks whose working set stays within
+GRID_CHUNK_BYTES, and then every mu's moments from the gathered G_c; a
+factor with a real diagonal and exactly zero off-diagonal entries, such as
+S^z, scales Psi's rows or columns instead of multiplying it, to the same
+bits.  One PureState or WernerState is a 1 x 1 grid.
 Otherwise one tracer (_trace_table) reads the set's cached pt_tables
 against the state for the criterion, and against PT_B(rho) for the
 moments, as Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list, whose
@@ -179,29 +180,38 @@ def _diagonal_scaling(f: np.ndarray, on_b: bool) -> np.ndarray | None:
     return np.repeat(d.real, 2) if on_b else d.real[:, None]
 
 
-def _centered_gram(psis, obs_set, transpose_b: bool) -> tuple[np.ndarray, np.ndarray]:
+def _gram_factors(obs_set, transpose_b: bool) -> list[tuple[np.ndarray, np.ndarray | None, bool]]:
+    """For each member of a local set, its factor f (b^T on B with
+    transpose_b, else b or a), the _diagonal_scaling of f and whether it
+    acts on B: the per-set setup of _centered_gram, formed once per grid."""
+    factors = [o.matrix.T if on_b and transpose_b else o.matrix
+               for o, on_b in zip(obs_set, obs_set.on_b)]
+    return [(f, _diagonal_scaling(f, on_b), on_b) for f, on_b in zip(factors, obs_set.on_b)]
+
+
+def _centered_gram(psis, obs_set, factors) -> tuple[np.ndarray, np.ndarray]:
     """p_j = Re<psi|v_j> and the Gram matrix G_c of v_j - p_j psi for each psi
     of psis, shapes (n_psi, N) and (n_psi, N, N).  The chunks are slices of
     the PureStateStack's amplitude array, not copies; a list of PureStates
     is stacked once (as_state_stack).
 
-    v_j = a_j Psi or Psi f_j on the amplitude matrix Psi, f = b^T with
-    transpose_b and f = b without.  Each factor acts on a whole chunk of
-    stacked amplitude matrices at once; a chunk holds as many psi as keep
-    its v, the conjugate of v and its amplitude rows within GRID_CHUNK_BYTES.
-    Every psi is computed alone within its chunk, so the chunking does not
-    change a bit of the result.  A factor with a real diagonal and exactly
-    zero off-diagonal entries (S^z in the sextet, the rotated sextet and
-    the quadratures) scales the rows or columns of Psi instead
-    (_diagonal_scaling, read once per call): the matmul would only add
-    exact zeros to the same products, so the result is the same bit for
-    bit.
+    v_j = a_j Psi or Psi f_j on the amplitude matrix Psi, over the set's
+    factors (_gram_factors).  Each factor acts on a whole chunk of stacked
+    amplitude matrices at once; a chunk holds as many psi as keep its v,
+    the conjugate of v and its amplitude rows within GRID_CHUNK_BYTES.  v
+    and the one temporary of its size (the conjugate of psi, the outer
+    products p psi^T, then the conjugate of v) share one allocation per
+    call, which every chunk reuses: allocated per chunk, a sweep in one-psi blocks had the
+    allocator return them to the system and fault them in anew for every
+    block.  Every psi is computed alone within its chunk, so the chunking
+    does not change a bit of the result.  A factor with a real diagonal and exactly zero
+    off-diagonal entries (S^z in the sextet, the rotated sextet and the
+    quadratures) scales the rows or columns of Psi instead: the matmul
+    would only add exact zeros to the same products, so the result is the
+    same bit for bit.
     """
     da, db = obs_set.dim_a, obs_set.dim_b
-    n = len(obs_set)
-    factors = [o.matrix.T if on_b and transpose_b else o.matrix
-               for o, on_b in zip(obs_set, obs_set.on_b)]
-    scalings = [_diagonal_scaling(f, on_b) for f, on_b in zip(factors, obs_set.on_b)]
+    n = len(factors)
     chunk = max(1, GRID_CHUNK_BYTES // ((2 * n + 1) * da * db * 16))
     stack = as_state_stack(psis).matrices()
     if stack.shape[1:] != (da, db):
@@ -209,39 +219,40 @@ def _centered_gram(psis, obs_set, transpose_b: bool) -> tuple[np.ndarray, np.nda
                          f"observables {da}x{db}")
     p = np.empty((len(stack), n))
     g_c = np.empty((len(stack), n, n), dtype=complex)
+    work = np.empty((2, min(chunk, len(stack)), n, da, db), dtype=complex)
     for start in range(0, len(stack), chunk):
         mats = stack[start:start + chunk]
         amps = mats.reshape(len(mats), -1)
         # each product is written into its slot of v: no list to stack
-        v = np.empty((len(amps), n, da, db), dtype=complex)
-        for j, (f, scale, on_b) in enumerate(zip(factors, scalings, obs_set.on_b)):
+        v, w = work[:, :len(amps)]
+        for j, (f, scale, on_b) in enumerate(factors):
             if scale is not None:
                 np.multiply(mats.view(float), scale, out=v[:, j].view(float))
             elif on_b:
                 np.matmul(mats, f, out=v[:, j])
             else:
                 np.matmul(f, mats, out=v[:, j])
-        v = v.reshape(len(amps), n, -1)
+        v, w = v.reshape(len(amps), n, -1), w.reshape(len(amps), n, -1)
         rows = slice(start, start + len(amps))
-        p[rows] = np.matmul(v, amps.conj()[:, :, None])[:, :, 0].real
+        # the conjugate of psi goes into w, which is free until the outer products
+        p[rows] = np.matmul(v, np.conjugate(amps, out=w[:, 0])[:, :, None])[:, :, 0].real
         # the outer products p psi^T as a matmul: a broadcast product would
         # hold numpy's iteration buffers, twice the size of v, on top of it
-        v -= np.matmul(p[rows, :, None].astype(complex), amps[:, None, :])
-        np.matmul(v.conj(), np.swapaxes(v, -1, -2), out=g_c[rows])
+        v -= np.matmul(p[rows, :, None].astype(complex), amps[:, None, :], out=w)
+        np.matmul(np.conjugate(v, out=w), np.swapaxes(v, -1, -2), out=g_c[rows])
     return p, g_c
 
 
-def _amplitude_moments(psis, mus, obs_set, transposed: bool):
+def _mu_moments(p, g_c, mus, obs_set, transposed: bool):
     """For each mu of mus in turn, the means m = mu p + (1-mu) tau and
     centered second moments K = E - m m^T of mu |psi><psi| + (1-mu) I/D over
-    a local set, for every psi of psis, shapes (n_psi, N) and (n_psi, N, N),
-    formed as K = mu G_c + (1-mu) T_c + mu (1-mu) (p - tau)(p - tau)^T
-    from each psi's one p and G_c (_centered_gram), which are built before
-    the first mu is yielded.
+    a local set, for every psi whose p and G_c (_centered_gram) are given,
+    shapes (n_psi, N) and (n_psi, N, N), formed as
+    K = mu G_c + (1-mu) T_c + mu (1-mu) (p - tau)(p - tau)^T.
 
-    Without transposed these are the moments of xi_j xi_k, with the B
-    factors transposed; with it those of PT_B(xi_j xi_k), B-B pairs read
-    transposed.  tau and T_c are the set's mixed_moments.  No means of
+    Without transposed these are the moments of xi_j xi_k, from p and G_c
+    of the B factors transposed; with it those of PT_B(xi_j xi_k), B-B pairs
+    read transposed.  tau and T_c are the set's mixed_moments.  No means of
     order M are subtracted from second moments of order M^2, a cancellation
     that at a few hundred spins per side would lift rounding above the
     verdict tolerance.  One mu at a time, because a product broadcast over
@@ -249,7 +260,6 @@ def _amplitude_moments(psis, mus, obs_set, transposed: bool):
     grid itself.
     """
     mus = mixing_weights(mus)
-    p, g_c = _centered_gram(psis, obs_set, transpose_b=not transposed)
     tau, t_c = obs_set.mixed_moments
     shift = p - tau
     outer = shift[:, :, None] * shift[:, None, :]
@@ -264,6 +274,13 @@ def _amplitude_moments(psis, mus, obs_set, transposed: bool):
     return moments()
 
 
+def _amplitude_moments(psis, mus, obs_set, transposed: bool):
+    """_mu_moments of each psi of psis, whose p and G_c are formed once,
+    before the first mu is yielded."""
+    factors = _gram_factors(obs_set, transpose_b=not transposed)
+    return _mu_moments(*_centered_gram(psis, obs_set, factors), mus, obs_set, transposed)
+
+
 def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
     """C[j,k] = Tr[rho PT_B(xi_j xi_k)] - Tr[rho PT_B(xi_j)] Tr[rho PT_B(xi_k)],
     the transposed centered moments of _centered_moments.
@@ -275,20 +292,52 @@ def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
     return hermitize(_centered_moments(rho, obs_set, transposed=True)[1])
 
 
+class CriterionGrid:
+    """Criterion matrices of mu |psi><psi| + (1-mu) I/D over a local set for
+    psis that come in blocks, so that a sweep holds one block of amplitudes
+    at a time.  The set's factors and diagonal scalings (_gram_factors) are
+    formed once, at construction, and serve every block; add() reduces a
+    block at once to each psi's p and G_c (_centered_gram), and matrices()
+    applies the mu map, the transpose rule and hermitize once, to the
+    gathered arrays.  Each psi is reduced alone, so the blocks do not change
+    a bit of the result."""
+
+    def __init__(self, obs_set: ObservableSet):
+        if not obs_set.is_local:
+            raise ValueError("the grid route needs observables tagged 'A' or 'B'")
+        self.obs_set = obs_set
+        self._factors = _gram_factors(obs_set, transpose_b=False)
+        self._blocks = []
+
+    def add(self, psis):
+        """Reduce a block of psis, a PureStateStack or a list of same-shape
+        PureStates, to their p and G_c."""
+        self._blocks.append(_centered_gram(psis, self.obs_set, self._factors))
+
+    def matrices(self, mus) -> np.ndarray:
+        """The matrices of every mu of mus and psi added so far, in the order
+        added, shape (n_mu, n_psi, N, N)."""
+        if not self._blocks:
+            raise ValueError("a grid needs at least one state")
+        p, g_c = (np.concatenate(parts) for parts in zip(*self._blocks))
+        n = len(self.obs_set)
+        rows = _mu_moments(p, g_c, mus, self.obs_set, transposed=True)
+        out = np.empty((len(mus), len(p), n, n), dtype=complex)
+        for out_mu, (_, k) in zip(out, rows):
+            out_mu[...] = hermitize(k)
+        return out
+
+
 def criterion_grid(psis, mus, obs_set: ObservableSet) -> np.ndarray:
     """Criterion matrices of mu |psi><psi| + (1-mu) I/D for every mu of mus
     and psi of psis (a PureStateStack or a list of same-shape PureStates),
-    shape (n_mu, n_psi, N, N), by the amplitude route of a local set: each
-    psi's Gram matrix is formed once, whatever the number of mus.  Entry
-    [i, j] equals
-    criterion_matrix(WernerState(psis[j], mus[i]), obs_set) bit for bit."""
-    if not obs_set.is_local:
-        raise ValueError("the grid route needs observables tagged 'A' or 'B'")
-    rows = _amplitude_moments(psis, mus, obs_set, transposed=True)
-    out = np.empty((len(mus), len(psis), len(obs_set), len(obs_set)), dtype=complex)
-    for out_mu, (_, k) in zip(out, rows):
-        out_mu[...] = hermitize(k)
-    return out
+    shape (n_mu, n_psi, N, N): a CriterionGrid of one block, so each psi's
+    Gram matrix is formed once, whatever the number of mus.  Entry [i, j]
+    equals criterion_matrix(WernerState(psis[j], mus[i]), obs_set) bit for
+    bit."""
+    grid = CriterionGrid(obs_set)
+    grid.add(psis)
+    return grid.matrices(mus)
 
 
 class CriterionEvaluator:

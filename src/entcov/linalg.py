@@ -29,7 +29,7 @@ class HermiticityError(ValueError):
                          f"exceeds {DEFAULT_HERMITICITY_TOL:.3e}")
 
 
-def _as_square(m, stacked: bool = False) -> np.ndarray:
+def require_square(m, stacked: bool = False) -> np.ndarray:
     """A finite complex square matrix, or with stacked a stack (k, n, n) of
     them whose first non-finite member is named by its index."""
     m = np.asarray(m, dtype=complex)
@@ -62,7 +62,7 @@ def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
 def require_hermitian(m, stacked: bool = False) -> np.ndarray:
     """m symmetrized, checked Hermitian within DEFAULT_HERMITICITY_TOL; with
     stacked, each member of a (k, n, n) stack is checked on its own scale."""
-    m = _as_square(m, stacked)
+    m = require_square(m, stacked)
     defects = np.atleast_1d(hermiticity_defect(m))
     if defects.size and defects.max() > DEFAULT_HERMITICITY_TOL:
         worst = int(np.argmax(defects))
@@ -72,7 +72,7 @@ def require_hermitian(m, stacked: bool = False) -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product; the first factor indexes row-major blocks."""
-    return np.kron(_as_square(a), _as_square(b))
+    return np.kron(require_square(a), require_square(b))
 
 
 # tensor-index order (a, b, a', b') after transposing factor A or factor B
@@ -85,7 +85,7 @@ def partial_transpose(m, dim_a: int, dim_b: int, subsystem: str = "B") -> np.nda
     For subsystem "B" the entry ((a,b),(a',b')) moves to ((a,b'),(a',b)).
     The map is an involution and preserves the Frobenius norm.
     """
-    m = _as_square(m)
+    m = require_square(m)
     if m.shape[0] != dim_a * dim_b:
         raise ValueError(
             f"matrix dimension {m.shape[0]} does not match dim_a*dim_b = {dim_a * dim_b}"

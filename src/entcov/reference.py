@@ -6,8 +6,9 @@ witnesses.
 The partial-transpose minimum of a PureState or a WernerState has a closed
 form in the two largest Schmidt coefficients, so the `ppt` column of a
 spin-ensemble sweep forms no D x D array and takes the Schmidt coefficients
-of its whole (mu, t) grid from one stacked SVD; a DensityMatrix takes the
-dense spectrum, and a raw array, which carries no bipartition, is rejected.
+of each block of its t grid from one stacked SVD (PptGrid); a DensityMatrix
+takes the dense spectrum, and a raw array, which carries no bipartition, is
+rejected.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .criterion import (DEFAULT_VERDICT_TOL, ENTANGLED, UNDETECTED, CriterionReport,
                         criterion_matrix, detect)
 from .linalg import (clip_psd, hermitian_eigenvalues, hermitize, kron, partial_transpose,
-                     transpose_factor)
+                     require_square, transpose_factor)
 from .observables import ObservableSet, collective_spin_matrices, hp_quadrature_set
 from .states import (DensityMatrix, PureState, WernerState, as_matrix, as_state_stack,
                      mixing_weights)
@@ -43,27 +44,57 @@ def ppt_min_eigenvalue(rho) -> float:
     return float(hermitian_eigenvalues(sigma)[0])
 
 
+class PptGrid:
+    """Partial-transpose minima of mu |psi><psi| + (1-mu) I/D for psis that
+    come in blocks, so that a sweep holds one block of amplitudes at a time.
+
+    The minimum is -mu s1 s2 + (1-mu)/D, where s1 >= s2 are the two largest
+    singular values of the dim_a x dim_b amplitude matrix (s2 = 0 when one
+    side has dimension 1): PT(|psi><psi|) has the spectrum {s_i^2} U
+    {+-s_i s_j, i<j}, padded with zeros up to D, and PT(I) = I.  add() reads
+    the singular values of a block's psis from one stacked SVD and keeps
+    only -s1 s2; min_eigenvalues() applies the mu map once, to the gathered
+    values.
+    """
+
+    def __init__(self):
+        self._pure_min = []
+        self._shape = None
+
+    def add(self, psis):
+        """Reduce a block of psis, a PureStateStack or a list of same-shape
+        PureStates, to the minimum of each pure state's partial transpose."""
+        mats = as_state_stack(psis).matrices()
+        if self._shape not in (None, mats.shape[1:]):
+            raise ValueError(f"grid states must share one shape, got {self._shape} "
+                             f"and {mats.shape[1:]}")
+        self._shape = mats.shape[1:]
+        s = np.linalg.svd(mats, compute_uv=False)
+        if s.shape[1] > 1:
+            pure_min = -s[:, 0] * s[:, 1]
+        else:
+            # a zero eigenvalue exists unless the state is the whole 1 x 1 space
+            pure_min = np.zeros(len(s)) if self._shape != (1, 1) else s[:, 0] ** 2
+        self._pure_min.append(pure_min)
+
+    def min_eigenvalues(self, mus) -> np.ndarray:
+        """The minima of every mu of mus and psi added so far, in the order
+        added, shape (n_mu, n_psi)."""
+        mu = mixing_weights(mus)[:, None]
+        if not self._pure_min:
+            raise ValueError("a grid needs at least one state")
+        dim = self._shape[0] * self._shape[1]
+        return mu * np.concatenate(self._pure_min) + (1.0 - mu) / dim
+
+
 def ppt_min_eigenvalue_grid(psis, mus) -> np.ndarray:
     """Partial-transpose minimum of mu |psi><psi| + (1-mu) I/D for every mu of
     mus and psi of psis (a PureStateStack or a list of same-shape
-    PureStates), shape (n_mu, n_psi).
-
-    It is -mu s1 s2 + (1-mu)/D, where s1 >= s2 are the two largest singular
-    values of the dim_a x dim_b amplitude matrix (s2 = 0 when one side has
-    dimension 1): PT(|psi><psi|) has the spectrum {s_i^2} U {+-s_i s_j, i<j},
-    padded with zeros up to D, and PT(I) = I.  The singular values of every
-    psi come from one stacked SVD.
-    """
-    mu = mixing_weights(mus)[:, None]
-    mats = as_state_stack(psis).matrices()
-    dim = mats.shape[1] * mats.shape[2]
-    s = np.linalg.svd(mats, compute_uv=False)
-    if s.shape[1] > 1:
-        pure_min = -s[:, 0] * s[:, 1]
-    else:
-        # a zero eigenvalue exists unless the state is the whole 1 x 1 space
-        pure_min = np.zeros(len(s)) if dim > 1 else s[:, 0] ** 2
-    return mu * pure_min + (1.0 - mu) / dim
+    PureStates), shape (n_mu, n_psi): a PptGrid of one block, so the
+    singular values of every psi come from one stacked SVD."""
+    grid = PptGrid()
+    grid.add(psis)
+    return grid.min_eigenvalues(mus)
 
 
 def duan_simon_report(
@@ -145,14 +176,16 @@ def decomposable_split(
     eigenvalue clips.  Returns (feasible, residual, P) where the residual is
     the largest remaining negative-part norm of P and (w - P)^(T_A).
     Non-convergence within SPLIT_MAX_ITER rounds, or a residual above
-    SPLIT_TOL, reports infeasible.
+    SPLIT_TOL, reports infeasible.  A w that is not one finite square matrix
+    of dimension dim_a * dim_b is rejected before any eigensolve.
     """
     if dim_a != dim_b:
         raise ValueError("decomposable_split expects equal subsystem dimensions")
     d = dim_a
-    w = hermitize(np.asarray(w, dtype=complex))
+    w = require_square(w)
     if w.shape[0] != d * d:
         raise ValueError(f"matrix dimension {w.shape[0]} != dim_a*dim_b = {d * d}")
+    w = hermitize(w)
     neg_w = _negative_part_norm(w)
     if neg_w <= SPLIT_TOL:
         return True, neg_w, w

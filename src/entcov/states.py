@@ -250,16 +250,22 @@ def product_state(amps_a, amps_b) -> PureState:
     return PureState(a.size, b.size, np.kron(a, b))
 
 
-def szsz_evolve_grid(state: PureState, ts) -> PureStateStack:
-    """exp(i S^z_A S^z_B t) applied for each t of ts, in the joint Dicke basis.
+def szsz_evolve_blocks(state: PureState, ts, block_bytes: int):
+    """exp(i S^z_A S^z_B t) applied for each t of ts, in the joint Dicke basis,
+    as PureStateStacks of consecutive times whose amplitudes take at most
+    block_bytes each (at least one time per block), so a sweep holds one
+    block at a time.
 
     The amplitude at (j, k) picks up the phase exp(i (M-2j)(M-2k) t), so the
     norm is preserved exactly.  The product (M-2j)(M-2k) takes far fewer
-    distinct values than D (85 for D = 441 at M = 20), so exp is evaluated
-    once per distinct product and t, into an (len(ts), n_distinct) table,
-    with the arguments i t (M-2j)(M-2k) formed as for one entry at a time.
-    The table is gathered into one (len(ts), D) array, which is multiplied
-    by the start amplitudes in place and checked once, as a PureStateStack.
+    distinct values than D (85 for D = 441 at M = 20); their table and the
+    index of each entry into it are formed once per call, and the times are
+    checked before the first block.  In a block, exp is evaluated once per
+    distinct product and t, with the arguments i t (M-2j)(M-2k) formed as for
+    one entry at a time; the table is gathered into one (n, D) array, which
+    is multiplied by the start amplitudes in place and checked once, as a
+    PureStateStack.  Every row is computed alone, so the blocks do not change
+    a bit of it.
     """
     if state.dim_a != state.dim_b:
         raise ValueError("ensembles must have equal dimension")
@@ -267,13 +273,27 @@ def szsz_evolve_grid(state: PureState, ts) -> PureStateStack:
     sz = (m - 2 * np.arange(m + 1)).astype(float)
     products, index = np.unique(np.outer(sz, sz).ravel(), return_inverse=True)
     ts = np.asarray(ts, dtype=float).ravel()
+    if not ts.size:
+        raise ValueError("the evolution needs at least one time")
     if not np.isfinite(ts).all():
         raise ValueError(f"evolution time {int(np.argmin(np.isfinite(ts)))} is not finite")
-    args = np.array([1j * t for t in ts], dtype=complex)[:, None]
-    table = np.exp(args * products)
-    amps = np.take(table, index, axis=1)
-    np.multiply(state.amplitudes, amps, out=amps)
-    return PureStateStack(state.dim_a, state.dim_b, amps)
+    rows = max(1, block_bytes // (state.dim * state.amplitudes.itemsize))
+
+    def blocks():
+        for start in range(0, len(ts), rows):
+            args = np.array([1j * t for t in ts[start:start + rows]], dtype=complex)[:, None]
+            amps = np.take(np.exp(args * products), index, axis=1)
+            np.multiply(state.amplitudes, amps, out=amps)
+            yield PureStateStack(state.dim_a, state.dim_b, amps)
+
+    return blocks()
+
+
+def szsz_evolve_grid(state: PureState, ts) -> PureStateStack:
+    """szsz_evolve_blocks of every t of ts in one block."""
+    ts = np.asarray(ts, dtype=float).ravel()
+    stack, = szsz_evolve_blocks(state, ts, ts.size * state.amplitudes.nbytes)
+    return stack
 
 
 def spin_ensemble_state(m: int, t: float) -> PureState:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from entcov.cli import build_parser, main
-from entcov.criterion import correlation_data_from_state, criterion_grid, criterion_matrix, detect
-from entcov.observables import (collective_spin_set, hp_quadrature_set, pauli_product_set,
-                                rotate_so3)
+from entcov.criterion import (GRID_CHUNK_BYTES, correlation_data_from_state, criterion_grid,
+                              criterion_matrix, detect)
+from entcov.observables import (collective_spin_set, hp_quadrature_block, hp_quadrature_set,
+                                pauli_product_set, rotate_so3)
+from entcov.reference import ppt_min_eigenvalue_grid
 from entcov.states import (WernerState, bell_state, product_state, spin_coherent_x,
                            spin_ensemble_state, szsz_evolve_grid, werner_mix)
 
@@ -284,13 +286,68 @@ class TestSpinEnsemble:
         assert float(rows[0]["ppt_min_eig"]) >= -1e-10
         assert all(float(r["ppt_min_eig"]) < 0 for r in rows[1:])
 
+    def test_sweep_memory_does_not_grow_with_t_steps(self, tmp_path):
+        # the t grid is evolved and reduced block by block: from 8 to 128 steps
+        # at M = 60 a sweep holding every amplitude row grew by 120 rows
+        # (7.9 MB); the bound is a quarter of one row per extra t
+        dim = 61 ** 2
+        peaks = []
+        for steps in ("8", "8", "128"):
+            argv = ["spin-ensemble", "--m", "60", "--t-steps", steps, "--criteria", "cm,ds,ppt",
+                    "--out", str(tmp_path / "s.csv")]
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        # the first call is the warm-up: first-call caches are not the sweep's memory
+        assert peaks[2] - peaks[1] < 120 * dim * 16 / 4
+
+    def test_block_boundaries_change_no_bit(self, tmp_path, monkeypatch):
+        # 100 steps at M = 20 span three blocks; every cell equals the grid
+        # functions on the whole stack of evolved states, bit for bit
+        import entcov.criterion
+
+        gram_states, gram = [], entcov.criterion._centered_gram
+
+        def counting_gram(psis, *args, **kwargs):
+            gram_states.append(len(psis))
+            return gram(psis, *args, **kwargs)
+
+        monkeypatch.setattr(entcov.criterion, "_centered_gram", counting_gram)
+        out = tmp_path / "s.csv"
+        argv = ["spin-ensemble", "--m", "20", "--mu-min", "0.6", "--mu-steps", "2",
+                "--t-steps", "100", "--t-max", "0.4", "--criteria", "cm,ds,ppt",
+                "--out", str(out)]
+        assert main(argv) == 0
+        block = GRID_CHUNK_BYTES // (21 ** 2 * 16)
+        assert len(gram_states) >= 3
+        assert gram_states == [block] * (100 // block) + [100 % block]
+        _, rows = read_rows(out)
+        c = spin_coherent_x(20)
+        mus = np.linspace(0.6, 1.0, 2)
+        states = szsz_evolve_grid(product_state(c, c), np.linspace(0.0, 0.4, 100))
+        grid = criterion_grid(states, mus, collective_spin_set(20))
+        ppt = ppt_min_eigenvalue_grid(states, mus)
+        cells = [(cm, ds, ppt_ij)
+                 for grid_mu, ppt_mu in zip(grid, ppt)
+                 for cm, ds, ppt_ij in zip(detect(grid_mu).eigenvalues,
+                                           detect(hp_quadrature_block(grid_mu, 20)).eigenvalues,
+                                           ppt_mu)]
+        for row, (cm, ds, ppt_ij) in zip(rows, cells, strict=True):
+            assert [float(row[f"cm_eig_{k + 1}"]) for k in range(6)] == cm.tolist()
+            assert float(row["ds_min_eig"]) == ds[0]
+            assert float(row["ppt_min_eig"]) == ppt_ij
+
     def test_repeated_criterion_rejected_before_any_state(self, tmp_path, capsys, monkeypatch):
         import entcov.cli
 
         def refuse(*args, **kwargs):
             raise AssertionError("states evolved before the criteria were checked")
 
-        monkeypatch.setattr(entcov.cli, "szsz_evolve_grid", refuse)
+        monkeypatch.setattr(entcov.cli, "szsz_evolve_blocks", refuse)
         out = tmp_path / "x.csv"
         argv = ["spin-ensemble", "--m", "2", "--t-steps", "2", "--criteria", "cm,ds,cm",
                 "--out", str(out)]
@@ -333,7 +390,7 @@ class TestSpinEnsemble:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("entcov.cli.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         argv = ["spin-ensemble", "--m", "1", "--t-steps", "2", "--criteria", "ew",
                 "--ew-sweeps", "1"]
         assert main(argv + ["--jobs", "10000", "--out", str(tmp_path / "many.csv")]) == 0
@@ -494,7 +551,7 @@ class TestNonFiniteInputs:
         def refuse(*args, **kwargs):
             raise AssertionError("states evolved before the settings were checked")
 
-        monkeypatch.setattr(entcov.cli, "szsz_evolve_grid", refuse)
+        monkeypatch.setattr(entcov.cli, "szsz_evolve_blocks", refuse)
         out = tmp_path / "x.csv"
         argv = ["spin-ensemble", "--m", "2", "--t-steps", "2", "--criteria", "cm",
                 flag, value, "--out", str(out)]
@@ -521,7 +578,7 @@ class TestNonFiniteInputs:
         def refuse(*args, **kwargs):
             raise AssertionError("states evolved before the seed was checked")
 
-        for name in ("szsz_evolve_grid", "spin_ensemble_state", "witness_optimize",
+        for name in ("szsz_evolve_blocks", "spin_ensemble_state", "witness_optimize",
                      "run_property_battery"):
             monkeypatch.setattr(entcov.cli, name, refuse)
         assert main([*command, f"--seed={seed}"]) == 2

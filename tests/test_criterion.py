@@ -12,6 +12,7 @@ from entcov.criterion import (
     UNDETECTED,
     CorrelationData,
     CriterionEvaluator,
+    CriterionGrid,
     CriterionReport,
     DataValidationError,
     correlation_data_from_state,
@@ -23,7 +24,7 @@ from entcov.criterion import (
     uncertainty_matrix,
 )
 from entcov.criterion import (GRID_CHUNK_BYTES, _amplitude_moments, _centered_gram,
-                              _covariance_parts, _diagonal_scaling, _moments)
+                              _covariance_parts, _diagonal_scaling, _gram_factors, _moments)
 from entcov.linalg import HermiticityError, partial_transpose
 from entcov.observables import (
     Observable,
@@ -144,7 +145,8 @@ class TestObservableInputs:
             covariance_commutation(np.eye(9) / 9, [member])
 
     def test_non_hermitian_raw_operator_rejected_by_position(self):
-        # ObservableSet's own rule: a defect of 1e-9 against max(1, ||x||) fails
+        # ObservableSet's own rule: the relative defect ||x - x†|| / ||x||,
+        # 1e-9 here, exceeds INPUT_HERMITICITY_TOL (1e-10) and fails
         x = np.eye(2, dtype=complex)
         x[0, 1] = 1e-9
         for call in (lambda ops: covariance_commutation(np.eye(2) / 2, ops),
@@ -533,7 +535,7 @@ class TestDiagonalFactors:
         for transpose_b in (False, True):
             factors = [o.matrix.T if on_b and transpose_b else o.matrix
                        for o, on_b in zip(obs_set, obs_set.on_b)]
-            p, g_c = _centered_gram(psis, obs_set, transpose_b)
+            p, g_c = _centered_gram(psis, obs_set, _gram_factors(obs_set, transpose_b))
             p_ref, g_ref = oracles.centered_gram_matmul(psis.matrices(), factors, obs_set.on_b)
             assert p.tobytes() == p_ref.tobytes()
             assert g_c.tobytes() == g_ref.tobytes()
@@ -601,6 +603,14 @@ class TestGridInputs:
         # it was blamed on shapes: "grid states must share one shape, got []"
         with pytest.raises(ValueError, match="a grid needs at least one state"):
             criterion_grid([], [1.0], collective_spin_set(2))
+        # and a grid of blocks that were never added
+        with pytest.raises(ValueError, match="a grid needs at least one state"):
+            CriterionGrid(collective_spin_set(2)).matrices([1.0])
+        # a block of another shape is named, as in criterion_grid
+        grid = CriterionGrid(collective_spin_set(2))
+        grid.add([spin_ensemble_state(2, 0.1)])
+        with pytest.raises(ValueError, match="do not match observables"):
+            grid.add([spin_ensemble_state(3, 0.1)])
 
 
 def _definite_parity_factor(rng, dim, odd):

@@ -9,6 +9,7 @@ from entcov.observables import collective_spin_set, rotate_so3
 from entcov.reference import (
     WITNESS_VERDICT_TOL,
     AnnealParams,
+    PptGrid,
     WitnessResult,
     decomposable_split,
     duan_simon_report,
@@ -112,6 +113,11 @@ class TestPptGrid:
     def test_rejects_states_of_another_shape(self):
         with pytest.raises(ValueError, match="share one shape"):
             ppt_min_eigenvalue_grid([spin_ensemble_state(2, 0.1), bell_state()], [1.0])
+        # and across the blocks of one grid
+        grid = PptGrid()
+        grid.add([spin_ensemble_state(2, 0.1)])
+        with pytest.raises(ValueError, match="share one shape"):
+            grid.add([bell_state()])
 
 
 class TestDuanSimon:
@@ -288,12 +294,29 @@ class TestWitnessOperator:
 
 @pytest.mark.parametrize("build, message", [
     (lambda: ppt_min_eigenvalue_grid([], [1.0]), "a grid needs at least one state"),
+    (lambda: PptGrid().min_eigenvalues([1.0]), "a grid needs at least one state"),
     (lambda: decomposable_split(np.eye(9), 2, 2), "matrix dimension 9 != dim_a[*]dim_b = 4"),
     (lambda: witness_operator(np.full((4, 4), np.nan), 1),
      "coefficients contain NaN or Inf entries"),
     (lambda: witness_operator(np.diag([np.inf, 0, 0, 0]), 1),
      "coefficients contain NaN or Inf entries"),
-], ids=["ppt-empty-grid", "split-dimension", "witness-nan", "witness-inf"])
+], ids=["ppt-empty-grid", "ppt-no-block", "split-dimension", "witness-nan", "witness-inf"])
 def test_invalid_input_rejected_by_name(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("w, message", [
+    (np.stack([np.eye(4) / 4] * 4), r"expected a square matrix, got shape \(4, 4, 4\)"),
+    (np.full((4, 4), np.nan), "matrix contains NaN or Inf entries"),
+    (np.ones((9, 4)), r"expected a square matrix, got shape \(9, 4\)"),
+], ids=["stack", "nan", "not-square"])
+def test_decomposable_split_rejects_malformed_witness(monkeypatch, w, message):
+    # by name, before any eigensolve: a stack is not one witness
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve reached before the witness was checked")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    with pytest.raises(ValueError, match=message):
+        decomposable_split(w, 2, 2)

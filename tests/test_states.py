@@ -21,6 +21,7 @@ from entcov.states import (
     product_state,
     spin_coherent_x,
     spin_ensemble_state,
+    szsz_evolve_blocks,
     szsz_evolve_grid,
     werner_mix,
 )
@@ -314,6 +315,16 @@ class TestSzszEvolve:
         for t, row in zip(ts, expected):
             assert szsz_evolve_grid(state, [t]).amplitudes.tobytes() == row.tobytes()
 
+    def test_blocks_hold_at_most_their_bytes_and_the_grid_rows(self):
+        # 441 amplitudes of 16 bytes: 10 000 bytes hold one row, 30 000 four
+        state = product_state(spin_coherent_x(20), spin_coherent_x(20))
+        ts = np.linspace(-0.3, 0.5, 17)
+        grid = szsz_evolve_grid(state, ts).amplitudes
+        for block_bytes, rows in ((10_000, 1), (30_000, 4)):
+            blocks = [b.amplitudes for b in szsz_evolve_blocks(state, ts, block_bytes)]
+            assert [len(b) for b in blocks] == [rows] * (17 // rows) + [17 % rows] * (17 % rows > 0)
+            assert np.concatenate(blocks).tobytes() == grid.tobytes()
+
     def test_grid_rows_equal_single_times(self):
         state = product_state(spin_coherent_x(20), spin_coherent_x(20))
         ts = np.linspace(-0.3, 0.5, 17)
@@ -332,8 +343,10 @@ class TestSzszEvolve:
     (lambda: as_matrix(np.ones((2, 3)) / 2), r"expected a square matrix, got shape \(2, 3\)"),
     (lambda: spin_coherent_x(0), "ensemble size must be >= 1"),
     (lambda: product_state(np.eye(2), [1.0]), "amplitude vectors must be one-dimensional"),
+    (lambda: szsz_evolve_grid(product_state([1.0, 0.0], [1.0, 0.0]), []),
+     "the evolution needs at least one time"),
 ], ids=["dimension-0", "wrong-shape", "weights-2d", "non-square-raw", "coherent-m0",
-        "product-2d"])
+        "product-2d", "no-time"])
 def test_invalid_input_rejected_by_name(build, message):
     with pytest.raises(ValueError, match=message):
         build()
