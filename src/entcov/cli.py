@@ -3,10 +3,12 @@ file ingestion, the randomized property battery, and single witness runs.
 
 CSV files carry a '#'-prefixed header embedding the full configuration, so
 every output is reproducible from the file alone.  A spin-ensemble sweep
-evolves its t grid in blocks of at most GRID_CHUNK_BYTES of amplitudes and
-reduces each block at once to what its columns need, so only arrays of
-order n_t N^2 outlive a block.  cm and ds alike read one criterion grid of
-the spin sextet: the ds matrices are its quadrature block divided by 2M.
+evolves its t grid in blocks of at most states.GRID_CHUNK_BYTES of
+amplitudes (szsz_evolve_blocks, the one evolution route) and reduces each
+block at once to what its columns need, a CriterionGrid and a PptGrid, so
+only arrays of order n_t N^2 outlive a block.  cm and ds alike read one
+criterion grid of the spin sextet: the ds matrices are its quadrature
+block divided by 2M.
 werner-bell eigensolves the stack of its criterion matrices in one detect
 call.  Every command hands its CSV
 columns, named 1-D arrays, to the one writer _write_csv.  Verdict flips
@@ -29,7 +31,6 @@ import numpy as np
 from .criterion import (
     DEFAULT_VERDICT_TOL,
     ENTANGLED,
-    GRID_CHUNK_BYTES,
     CorrelationData,
     CriterionGrid,
     CriterionReport,
@@ -227,9 +228,9 @@ def _ensemble_columns(cfg: EnsembleConfig, spin, mus, ts):
     are reported.
 
     psi is evolved from a t-free start built once, in blocks of at most
-    GRID_CHUNK_BYTES of amplitudes (szsz_evolve_blocks), and each block is
-    handed at once to every reduction its columns need, so a sweep holds
-    one block at a time.  cm and ds both read one CriterionGrid of the spin
+    states.GRID_CHUNK_BYTES of amplitudes (szsz_evolve_blocks), and each
+    block is handed at once to every reduction its columns need, so a sweep
+    holds one block at a time.  cm and ds both read one CriterionGrid of the spin
     sextet, which keeps each psi's p and Gram matrix, formed once for all mu
     and both criteria: the ds matrices are its quadrature block divided by
     2M (hp_quadrature_block).  The PPT column keeps each psi's two largest
@@ -241,7 +242,7 @@ def _ensemble_columns(cfg: EnsembleConfig, spin, mus, ts):
     gram = CriterionGrid(spin) if "cm" in cfg.criteria or "ds" in cfg.criteria else None
     ppt = PptGrid() if "ppt" in cfg.criteria else None
     psis = [] if "ew" in cfg.criteria else None
-    for block in szsz_evolve_blocks(product_state(coherent, coherent), ts, GRID_CHUNK_BYTES):
+    for block in szsz_evolve_blocks(product_state(coherent, coherent), ts):
         if gram is not None:
             gram.add(block)
         if ppt is not None:

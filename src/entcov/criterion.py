@@ -7,14 +7,15 @@ serves both.  A local ObservableSet on pure states and Werner mixtures takes
 the amplitude route, O(N dim^3) per psi with no D x D array: the local
 factors act on the amplitude matrix, B factors transposed for the moments
 and B-B pairs read transposed for the criterion (_transpose_b_pairs, the one
-transpose rule).  The route takes a grid, a list of same-shape pure states
-psi times a vector of mixing weights mu (criterion_grid, or CriterionGrid for
-psis that come in blocks): it forms p and the centered Gram matrix G_c once
-per psi, stacking the psis in chunks whose working set stays within
-GRID_CHUNK_BYTES, and then every mu's moments from the gathered G_c; a
-factor with a real diagonal and exactly zero off-diagonal entries, such as
-S^z, scales Psi's rows or columns instead of multiplying it, to the same
-bits.  One PureState or WernerState is a 1 x 1 grid.
+transpose rule).  Its one engine is CriterionGrid, which takes the pure
+states psi in blocks and then a vector of mixing weights mu: it forms p and
+the centered Gram matrix G_c once per psi, stacking the psis in chunks whose
+working set stays within GRID_CHUNK_BYTES, and then every mu's moments from
+the gathered G_c; a factor with a real diagonal and exactly zero
+off-diagonal entries, such as S^z, scales Psi's rows or columns instead of
+multiplying it, to the same bits.  One PureState or WernerState is one
+block of one psi and one mu of it, and its moments of xi_j xi_k come from
+the same engine with the B factors transposed (_MomentGrid).
 Otherwise one tracer (_trace_table) reads the set's cached pt_tables
 against the state for the criterion, and against PT_B(rho) for the
 moments, as Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list, whose
@@ -35,6 +36,9 @@ them: scalars for one matrix, arrays with one entry per member for a stack.
 criterion_matrix_from_data rebuilds the criterion matrix from measured
 correlations of local operators with definite transpose parity: the
 parities sign V and Omega, and the same transpose rule orders B-B pairs.
+A record is rejected unless some quantum state could produce it: V
+symmetric, Omega antisymmetric and zero across the partition, and the
+uncertainty relation V + (i/2) Omega >= 0.
 """
 
 from __future__ import annotations
@@ -46,13 +50,11 @@ import numpy as np
 from .linalg import (INPUT_HERMITICITY_TOL, hermitian_eigenvalues, hermiticity_defect,
                      hermitize, partial_transpose)
 from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet, is_unit_parity
-from .states import PureState, WernerState, as_matrix, as_state_stack, mixing_weights
+from .states import (GRID_CHUNK_BYTES, PureState, WernerState, as_matrix, as_state_stack,
+                     mixing_weights)
 
 DEFAULT_VERDICT_TOL = 1e-9
 DATA_TOL = 1e-10
-# bytes of factor products, their conjugate and amplitude rows that one
-# chunk of the grid route holds at a time
-GRID_CHUNK_BYTES = 256 * 1024
 
 ENTANGLED = "ENTANGLED"
 UNDETECTED = "UNDETECTED"
@@ -111,8 +113,9 @@ def _trace_table(table, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _centered_moments(rho, observables, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Means and centered second moments of xi_j xi_k, or of PT_B(xi_j xi_k)
-    when transposed, by the amplitude route as a 1 x 1 grid or else by
-    _trace_table.  A raw operator list has no B side to transpose."""
+    when transposed, by the amplitude route as one psi and one mu of a
+    _MomentGrid or CriterionGrid, or else by _trace_table.  A raw operator
+    list has no B side to transpose."""
     if not isinstance(observables, ObservableSet):
         if transposed:
             raise TypeError("the criterion matrix needs an ObservableSet")
@@ -121,7 +124,9 @@ def _centered_moments(rho, observables, transposed: bool) -> tuple[np.ndarray, n
     if isinstance(rho, (PureState, WernerState)) and observables.is_local:
         if isinstance(rho, PureState):
             rho = WernerState(rho, 1.0)
-        means, k = next(_amplitude_moments([rho.psi], [rho.mu], observables, transposed))
+        grid = CriterionGrid(observables) if transposed else _MomentGrid(observables)
+        grid.add([rho.psi])
+        means, k = next(grid._moments([rho.mu]))
         return means[0], k[0]
     r = as_matrix(rho)
     da, db = observables.dim_a, observables.dim_b
@@ -274,13 +279,6 @@ def _mu_moments(p, g_c, mus, obs_set, transposed: bool):
     return moments()
 
 
-def _amplitude_moments(psis, mus, obs_set, transposed: bool):
-    """_mu_moments of each psi of psis, whose p and G_c are formed once,
-    before the first mu is yielded."""
-    factors = _gram_factors(obs_set, transpose_b=not transposed)
-    return _mu_moments(*_centered_gram(psis, obs_set, factors), mus, obs_set, transposed)
-
-
 def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
     """C[j,k] = Tr[rho PT_B(xi_j xi_k)] - Tr[rho PT_B(xi_j)] Tr[rho PT_B(xi_k)],
     the transposed centered moments of _centered_moments.
@@ -300,13 +298,17 @@ class CriterionGrid:
     block at once to each psi's p and G_c (_centered_gram), and matrices()
     applies the mu map, the transpose rule and hermitize once, to the
     gathered arrays.  Each psi is reduced alone, so the blocks do not change
-    a bit of the result."""
+    a bit of the result, and criterion_matrix of one PureState or
+    WernerState is one add and one mu of a grid."""
+
+    # the moments of PT_B(xi_j xi_k); _MomentGrid's are those of xi_j xi_k
+    _transposed = True
 
     def __init__(self, obs_set: ObservableSet):
         if not obs_set.is_local:
             raise ValueError("the grid route needs observables tagged 'A' or 'B'")
         self.obs_set = obs_set
-        self._factors = _gram_factors(obs_set, transpose_b=False)
+        self._factors = _gram_factors(obs_set, transpose_b=not self._transposed)
         self._blocks = []
 
     def add(self, psis):
@@ -314,35 +316,34 @@ class CriterionGrid:
         PureStates, to their p and G_c."""
         self._blocks.append(_centered_gram(psis, self.obs_set, self._factors))
 
-    def matrices(self, mus) -> np.ndarray:
-        """The matrices of every mu of mus and psi added so far, in the order
-        added, shape (n_mu, n_psi, N, N)."""
+    def _moments(self, mus):
+        """_mu_moments of every psi added so far, in the order added."""
         if not self._blocks:
             raise ValueError("a grid needs at least one state")
         p, g_c = (np.concatenate(parts) for parts in zip(*self._blocks))
-        n = len(self.obs_set)
-        rows = _mu_moments(p, g_c, mus, self.obs_set, transposed=True)
-        out = np.empty((len(mus), len(p), n, n), dtype=complex)
+        return _mu_moments(p, g_c, mus, self.obs_set, self._transposed)
+
+    def matrices(self, mus) -> np.ndarray:
+        """The matrices of every mu of mus and psi added so far, in the order
+        added, shape (n_mu, n_psi, N, N)."""
+        rows = self._moments(mus)
+        n_psi, n = sum(len(p) for p, _ in self._blocks), len(self.obs_set)
+        out = np.empty((len(mus), n_psi, n, n), dtype=complex)
         for out_mu, (_, k) in zip(out, rows):
             out_mu[...] = hermitize(k)
         return out
 
 
-def criterion_grid(psis, mus, obs_set: ObservableSet) -> np.ndarray:
-    """Criterion matrices of mu |psi><psi| + (1-mu) I/D for every mu of mus
-    and psi of psis (a PureStateStack or a list of same-shape PureStates),
-    shape (n_mu, n_psi, N, N): a CriterionGrid of one block, so each psi's
-    Gram matrix is formed once, whatever the number of mus.  Entry [i, j]
-    equals criterion_matrix(WernerState(psis[j], mus[i]), obs_set) bit for
-    bit."""
-    grid = CriterionGrid(obs_set)
-    grid.add(psis)
-    return grid.matrices(mus)
+class _MomentGrid(CriterionGrid):
+    """CriterionGrid's engine for the moments of xi_j xi_k themselves: the B
+    factors transposed and no transpose rule."""
+
+    _transposed = False
 
 
 class CriterionEvaluator:
     """criterion_matrix over one observable set, which is all it holds.  The
-    sweeps call criterion_matrix and criterion_grid directly; only the
+    sweeps call criterion_matrix and CriterionGrid directly; only the
     benchmark's set-up (bench/workloads.py) still builds one."""
 
     def __init__(self, obs_set: ObservableSet):
@@ -461,6 +462,12 @@ class CorrelationData:
                     f"Omega[{j},{k}] is nonzero across the A/B partition; "
                     "operators on different subsystems must commute"
                 )
+        lowest = float(np.linalg.eigvalsh(hermitize(self.v + 0.5j * self.omega))[0])
+        if lowest < -DATA_TOL * max(scale_v, scale_o):
+            raise DataValidationError(
+                f"uncertainty relation violated: V + (i/2) Omega has minimum eigenvalue "
+                f"{lowest:.6g}; no quantum state gives this record"
+            )
         return self
 
     def to_dict(self) -> dict:

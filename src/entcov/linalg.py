@@ -112,8 +112,3 @@ def clip_psd(m: np.ndarray) -> np.ndarray:
     """Eigenvalue clip v max(w, 0) v† of a Hermitian matrix, unchecked."""
     w, v = np.linalg.eigh(m)
     return (v * np.maximum(w, 0.0)) @ v.conj().T
-
-
-def psd_project(m) -> np.ndarray:
-    """Nearest positive-semidefinite matrix in Frobenius norm (eigenvalue clip)."""
-    return hermitize(clip_psd(require_hermitian(m)))

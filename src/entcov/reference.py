@@ -4,11 +4,12 @@ criterion, and a simulated-annealing search over decomposable entanglement
 witnesses.
 
 The partial-transpose minimum of a PureState or a WernerState has a closed
-form in the two largest Schmidt coefficients, so the `ppt` column of a
-spin-ensemble sweep forms no D x D array and takes the Schmidt coefficients
-of each block of its t grid from one stacked SVD (PptGrid); a DensityMatrix
-takes the dense spectrum, and a raw array, which carries no bipartition, is
-rejected.
+form in the two largest Schmidt coefficients, and PptGrid is its one
+engine: the `ppt` column of a spin-ensemble sweep forms no D x D array and
+takes the Schmidt coefficients of each block of its t grid from one stacked
+SVD, and one PureState or WernerState is one add and one mu of a grid.  A
+DensityMatrix takes the dense spectrum, and a raw array, which carries no
+bipartition, is rejected.
 """
 
 from __future__ import annotations
@@ -30,13 +31,15 @@ def ppt_min_eigenvalue(rho) -> float:
     """Minimum eigenvalue of the partially transposed state.
 
     A negative value certifies entanglement.  A PureState or a WernerState
-    is a 1 x 1 grid of ppt_min_eigenvalue_grid.  A DensityMatrix is
-    partially transposed over its own bipartition and eigensolved densely.
+    is one psi and one mu of a PptGrid.  A DensityMatrix is partially
+    transposed over its own bipartition and eigensolved densely.
     """
     if isinstance(rho, PureState):
         rho = WernerState(rho, 1.0)
     if isinstance(rho, WernerState):
-        return float(ppt_min_eigenvalue_grid([rho.psi], [rho.mu])[0, 0])
+        grid = PptGrid()
+        grid.add([rho.psi])
+        return float(grid.min_eigenvalues([rho.mu])[0, 0])
     if not isinstance(rho, DensityMatrix):
         raise TypeError("ppt_min_eigenvalue needs a PureState, WernerState or DensityMatrix, "
                         f"got {type(rho).__name__}")
@@ -85,16 +88,6 @@ class PptGrid:
             raise ValueError("a grid needs at least one state")
         dim = self._shape[0] * self._shape[1]
         return mu * np.concatenate(self._pure_min) + (1.0 - mu) / dim
-
-
-def ppt_min_eigenvalue_grid(psis, mus) -> np.ndarray:
-    """Partial-transpose minimum of mu |psi><psi| + (1-mu) I/D for every mu of
-    mus and psi of psis (a PureStateStack or a list of same-shape
-    PureStates), shape (n_mu, n_psi): a PptGrid of one block, so the
-    singular values of every psi come from one stacked SVD."""
-    grid = PptGrid()
-    grid.add(psis)
-    return grid.min_eigenvalues(mus)
 
 
 def duan_simon_report(

@@ -8,6 +8,9 @@ flat with index j*(M+1) + k, j being the A-side Dicke index; this layout is
 the contract shared with the partial transpose and the CSV exports.
 A PureState is checked as the one row of a PureStateStack, and a
 WernerState's mu by mixing_weights, the rule of a grid's weights.
+szsz_evolve_blocks is the one evolution route: it yields a t grid in blocks
+of at most GRID_CHUNK_BYTES of amplitudes, and spin_ensemble_state is the
+first row of a one-time call.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from .linalg import INPUT_HERMITICITY_TOL, hermitian_eigenvalues, hermiticity_de
 NORM_TOL = 1e-12
 STATE_TRACE_TOL = 1e-10
 STATE_PSD_TOL = 1e-10
+# bytes that one block of an evolved t grid (szsz_evolve_blocks), or one
+# chunk of the criterion grid's factor products, their conjugate and
+# amplitude rows, holds at a time
+GRID_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,11 +257,11 @@ def product_state(amps_a, amps_b) -> PureState:
     return PureState(a.size, b.size, np.kron(a, b))
 
 
-def szsz_evolve_blocks(state: PureState, ts, block_bytes: int):
+def szsz_evolve_blocks(state: PureState, ts):
     """exp(i S^z_A S^z_B t) applied for each t of ts, in the joint Dicke basis,
     as PureStateStacks of consecutive times whose amplitudes take at most
-    block_bytes each (at least one time per block), so a sweep holds one
-    block at a time.
+    GRID_CHUNK_BYTES each (at least one time per block), so a sweep holds
+    one block at a time.
 
     The amplitude at (j, k) picks up the phase exp(i (M-2j)(M-2k) t), so the
     norm is preserved exactly.  The product (M-2j)(M-2k) takes far fewer
@@ -277,7 +284,7 @@ def szsz_evolve_blocks(state: PureState, ts, block_bytes: int):
         raise ValueError("the evolution needs at least one time")
     if not np.isfinite(ts).all():
         raise ValueError(f"evolution time {int(np.argmin(np.isfinite(ts)))} is not finite")
-    rows = max(1, block_bytes // (state.dim * state.amplitudes.itemsize))
+    rows = max(1, GRID_CHUNK_BYTES // state.amplitudes.nbytes)
 
     def blocks():
         for start in range(0, len(ts), rows):
@@ -289,15 +296,8 @@ def szsz_evolve_blocks(state: PureState, ts, block_bytes: int):
     return blocks()
 
 
-def szsz_evolve_grid(state: PureState, ts) -> PureStateStack:
-    """szsz_evolve_blocks of every t of ts in one block."""
-    ts = np.asarray(ts, dtype=float).ravel()
-    stack, = szsz_evolve_blocks(state, ts, ts.size * state.amplitudes.nbytes)
-    return stack
-
-
 def spin_ensemble_state(m: int, t: float) -> PureState:
     """exp(i S^z_A S^z_B t) applied to the doubly x-polarized ensemble pair,
-    the one row of a one-time szsz_evolve_grid."""
+    the first row of szsz_evolve_blocks of the one time t."""
     c = spin_coherent_x(m)
-    return szsz_evolve_grid(product_state(c, c), [t])[0]
+    return next(szsz_evolve_blocks(product_state(c, c), [t]))[0]

@@ -1,5 +1,12 @@
-import numpy as np
-import pytest
+import os
+
+# one BLAS thread unless the caller chose otherwise: set before numpy loads,
+# so a test's time does not swing with the load on the other cores
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture

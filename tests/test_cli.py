@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from entcov.cli import build_parser, main
-from entcov.criterion import (GRID_CHUNK_BYTES, correlation_data_from_state, criterion_grid,
-                              criterion_matrix, detect)
+from entcov.criterion import (CriterionGrid, correlation_data_from_state, criterion_matrix,
+                              detect)
 from entcov.observables import (collective_spin_set, hp_quadrature_block, hp_quadrature_set,
                                 pauli_product_set, rotate_so3)
-from entcov.reference import ppt_min_eigenvalue_grid
-from entcov.states import (WernerState, bell_state, product_state, spin_coherent_x,
-                           spin_ensemble_state, szsz_evolve_grid, werner_mix)
+from entcov.reference import PptGrid
+from entcov.states import (GRID_CHUNK_BYTES, PureStateStack, WernerState, bell_state,
+                           product_state, spin_coherent_x, spin_ensemble_state,
+                           szsz_evolve_blocks, werner_mix)
 
 
 ROTATE_45Z = ["0.7071067811865476", "0.7071067811865476", "0", "-0.7071067811865476",
@@ -213,8 +214,10 @@ class TestSpinEnsemble:
         quads = hp_quadrature_set(m, spin_set=spin)
         c = spin_coherent_x(m)
         mus = np.linspace(0.4, 1.0, 3)
-        states = szsz_evolve_grid(product_state(c, c), np.linspace(0.0, 0.4, 9))
-        grid = criterion_grid(states, mus, spin)
+        states, = szsz_evolve_blocks(product_state(c, c), np.linspace(0.0, 0.4, 9))
+        cm_grid = CriterionGrid(spin)
+        cm_grid.add(states)
+        grid = cm_grid.matrices(mus)
         points = [(i, mu, j) for i, mu in enumerate(mus) for j in range(9)]
         for row, (i, mu, j) in zip(rows, points, strict=True):
             cm = detect(grid[i, j])
@@ -306,8 +309,8 @@ class TestSpinEnsemble:
         assert peaks[2] - peaks[1] < 120 * dim * 16 / 4
 
     def test_block_boundaries_change_no_bit(self, tmp_path, monkeypatch):
-        # 100 steps at M = 20 span three blocks; every cell equals the grid
-        # functions on the whole stack of evolved states, bit for bit
+        # 100 steps at M = 20 span three blocks; every cell equals the grids
+        # of the whole stack of evolved states, added as one block, bit for bit
         import entcov.criterion
 
         gram_states, gram = [], entcov.criterion._centered_gram
@@ -328,9 +331,12 @@ class TestSpinEnsemble:
         _, rows = read_rows(out)
         c = spin_coherent_x(20)
         mus = np.linspace(0.6, 1.0, 2)
-        states = szsz_evolve_grid(product_state(c, c), np.linspace(0.0, 0.4, 100))
-        grid = criterion_grid(states, mus, collective_spin_set(20))
-        ppt = ppt_min_eigenvalue_grid(states, mus)
+        blocks = szsz_evolve_blocks(product_state(c, c), np.linspace(0.0, 0.4, 100))
+        states = PureStateStack(21, 21, np.concatenate([b.amplitudes for b in blocks]))
+        cm_grid, ppt_grid = CriterionGrid(collective_spin_set(20)), PptGrid()
+        cm_grid.add(states)
+        ppt_grid.add(states)
+        grid, ppt = cm_grid.matrices(mus), ppt_grid.min_eigenvalues(mus)
         cells = [(cm, ds, ppt_ij)
                  for grid_mu, ppt_mu in zip(grid, ppt)
                  for cm, ds, ppt_ij in zip(detect(grid_mu).eigenvalues,
@@ -462,6 +468,26 @@ class TestFromData:
         path.write_text(json.dumps(payload))
         assert main(["from-data", "--input", str(path)]) == 2
         assert "pt_parity entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels, partition, v, omega, lowest", [
+        # both members on A, a commutator no pair of variances of 0.1 allows
+        (["x_A", "p_A"], ["A", "A"], [[0.1, 0.0], [0.0, 0.1]], [[0.0, 2.0], [-2.0, 0.0]],
+         "-0.9"),
+        (["x_A", "x_B"], ["A", "B"], [[-1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]],
+         "-1"),
+    ], ids=["commutator-beyond-variances", "negative-variance"])
+    def test_uncertainty_relation_violation_rejected(self, tmp_path, capsys, labels, partition,
+                                                     v, omega, lowest):
+        # both records were certified ENTANGLED, though no state produces them
+        payload = {"labels": labels, "partition": partition, "pt_parity": [1, 1],
+                   "means": [0.0, 0.0], "V": v, "Omega": omega}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["from-data", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert (f"uncertainty relation violated: V + (i/2) Omega has minimum eigenvalue "
+                f"{lowest};") in captured.err
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"

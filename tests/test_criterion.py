@@ -17,14 +17,13 @@ from entcov.criterion import (
     DataValidationError,
     correlation_data_from_state,
     covariance_commutation,
-    criterion_grid,
     criterion_matrix,
     criterion_matrix_from_data,
     detect,
     uncertainty_matrix,
 )
-from entcov.criterion import (GRID_CHUNK_BYTES, _amplitude_moments, _centered_gram,
-                              _covariance_parts, _diagonal_scaling, _gram_factors, _moments)
+from entcov.criterion import (_centered_gram, _covariance_parts, _diagonal_scaling,
+                              _gram_factors, _moments, _MomentGrid)
 from entcov.linalg import HermiticityError, partial_transpose
 from entcov.observables import (
     Observable,
@@ -35,6 +34,7 @@ from entcov.observables import (
     rotate_so3,
 )
 from entcov.states import (
+    GRID_CHUNK_BYTES,
     DensityMatrix,
     PureState,
     PureStateStack,
@@ -43,12 +43,19 @@ from entcov.states import (
     product_state,
     spin_coherent_x,
     spin_ensemble_state,
-    szsz_evolve_grid,
+    szsz_evolve_blocks,
     werner_mix,
 )
 
 import oracles
 from oracles import criterion_matrix_pt_state
+
+
+def grid_matrices(psis, mus, obs_set):
+    """CriterionGrid matrices of psis added as one block."""
+    grid = CriterionGrid(obs_set)
+    grid.add(psis)
+    return grid.matrices(mus)
 
 
 def maximally_mixed(da, db):
@@ -492,8 +499,10 @@ def test_grid_route_matches_dense_route(seed, dims, n_a, n_b, n_psi, mus):
     order = rng.permutation(len(members))
     obs_set = ObservableSet(tuple(members[i] for i in order), da, db)
     psis = [PureState(da, db, oracles.random_pure(rng, da * db)) for _ in range(n_psi)]
-    grid = criterion_grid(psis, mus, obs_set)
-    moments = [_covariance_parts(k) for _, k in _amplitude_moments(psis, mus, obs_set, False)]
+    grid = grid_matrices(psis, mus, obs_set)
+    moment_grid = _MomentGrid(obs_set)
+    moment_grid.add(psis)
+    moments = [_covariance_parts(k) for _, k in moment_grid._moments(mus)]
     assert grid.shape == (len(mus), n_psi, len(obs_set), len(obs_set))
     for i, mu in enumerate(mus):
         v_grid, omega_grid = moments[i]
@@ -517,7 +526,7 @@ def test_grid_chunks_change_no_bit():
     ts = np.linspace(0.0, 0.3, 2 * chunk + 1)
     psis = [spin_ensemble_state(20, t) for t in ts]
     mus = [0.3, 1.0]
-    grid = criterion_grid(psis, mus, spin)
+    grid = grid_matrices(psis, mus, spin)
     evaluator = CriterionEvaluator(spin)
     for i, mu in enumerate(mus):
         for j, psi in enumerate(psis):
@@ -545,7 +554,8 @@ class TestDiagonalFactors:
         r2 = 0.7071067811865476
         spin = collective_spin_set(m)
         c = spin_coherent_x(m)
-        psis = szsz_evolve_grid(product_state(c, c), np.linspace(-0.4, 3.5, 23))
+        # 23 times are one block up to M = 20
+        psis, = szsz_evolve_blocks(product_state(c, c), np.linspace(-0.4, 3.5, 23))
         # S^z_A and S^z_B, rotated about z or as the quadratures p_A and p_B
         sets = ((spin, [2, 5]),
                 (rotate_so3(spin, [[r2, r2, 0], [-r2, r2, 0], [0, 0, 1]]), [2, 5]),
@@ -585,28 +595,28 @@ class TestGridInputs:
     def test_rejects_mixing_weight_outside_unit_interval(self):
         spin = collective_spin_set(2)
         with pytest.raises(ValueError, match="mixing parameters"):
-            criterion_grid([spin_ensemble_state(2, 0.1)], [0.5, 1.5], spin)
+            grid_matrices([spin_ensemble_state(2, 0.1)], [0.5, 1.5], spin)
 
     def test_rejects_states_of_another_shape(self):
         spin = collective_spin_set(2)
         with pytest.raises(ValueError, match="share one shape"):
-            criterion_grid([spin_ensemble_state(2, 0.1), spin_ensemble_state(3, 0.1)],
-                           [1.0], spin)
+            grid_matrices([spin_ensemble_state(2, 0.1), spin_ensemble_state(3, 0.1)],
+                          [1.0], spin)
         with pytest.raises(ValueError, match="do not match observables"):
-            criterion_grid([spin_ensemble_state(3, 0.1)], [1.0], spin)
+            grid_matrices([spin_ensemble_state(3, 0.1)], [1.0], spin)
 
     def test_rejects_a_joint_set(self):
         with pytest.raises(ValueError, match="tagged 'A' or 'B'"):
-            criterion_grid([bell_state()], [1.0], pauli_product_set())
+            grid_matrices([bell_state()], [1.0], pauli_product_set())
 
     def test_rejects_an_empty_grid_by_name(self):
         # it was blamed on shapes: "grid states must share one shape, got []"
         with pytest.raises(ValueError, match="a grid needs at least one state"):
-            criterion_grid([], [1.0], collective_spin_set(2))
+            grid_matrices([], [1.0], collective_spin_set(2))
         # and a grid of blocks that were never added
         with pytest.raises(ValueError, match="a grid needs at least one state"):
             CriterionGrid(collective_spin_set(2)).matrices([1.0])
-        # a block of another shape is named, as in criterion_grid
+        # a later block of another shape is named, as a first one is
         grid = CriterionGrid(collective_spin_set(2))
         grid.add([spin_ensemble_state(2, 0.1)])
         with pytest.raises(ValueError, match="do not match observables"):
@@ -620,20 +630,10 @@ def _definite_parity_factor(rng, dim, odd):
     return 1j * (g - g.T) / 2 if odd else (g + g.T) / 2
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dims=st.sampled_from([(2, 3), (3, 2)]),
-    n_a=st.integers(0, 3),
-    n_b=st.integers(0, 3),
-    mu=st.floats(0.0, 1.0),
-)
-def test_data_route_matches_evaluator_routes(seed, dims, n_a, n_b, mu):
-    # PT_B leaves A-side factors alone, so every A member has parity +1
-    # whether its factor is real symmetric or imaginary antisymmetric
-    assume(n_a + n_b >= 1)
-    rng = np.random.default_rng(seed)
-    da, db = dims
+def _definite_parity_set(rng, da, db, n_a, n_b):
+    """n_a A members and n_b B members of random definite parity, shuffled.
+    PT_B leaves A-side factors alone, so every A member has parity +1
+    whether its factor is real symmetric or imaginary antisymmetric."""
     members = []
     for i in range(n_a):
         a = _definite_parity_factor(rng, da, rng.random() < 0.5)
@@ -643,7 +643,22 @@ def test_data_route_matches_evaluator_routes(seed, dims, n_a, n_b, mu):
         b = _definite_parity_factor(rng, db, odd)
         members.append(Observable(f"b{i}", b, "B", -1 if odd else 1))
     order = rng.permutation(len(members))
-    obs_set = ObservableSet(tuple(members[i] for i in order), da, db)
+    return ObservableSet(tuple(members[i] for i in order), da, db)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 3), (3, 2)]),
+    n_a=st.integers(0, 3),
+    n_b=st.integers(0, 3),
+    mu=st.floats(0.0, 1.0),
+)
+def test_data_route_matches_evaluator_routes(seed, dims, n_a, n_b, mu):
+    assume(n_a + n_b >= 1)
+    rng = np.random.default_rng(seed)
+    da, db = dims
+    obs_set = _definite_parity_set(rng, da, db, n_a, n_b)
     evaluator = CriterionEvaluator(obs_set)
     psi = PureState(da, db, oracles.random_pure(rng, da * db))
     rho = werner_mix(psi, mu)
@@ -665,6 +680,47 @@ def test_data_route_matches_evaluator_routes(seed, dims, n_a, n_b, mu):
     for got, want in ((exported.means, data.means), (exported.v, data.v),
                       (exported.omega, data.omega)):
         assert np.abs(got - want).max() <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 3), (3, 2)]),
+    n_a=st.integers(0, 3),
+    n_b=st.integers(0, 3),
+    n_terms=st.integers(1, 4),
+)
+def test_separable_exports_validate_and_stay_psd(seed, dims, n_a, n_b, n_terms):
+    # a mixture of product pure states: its record meets the uncertainty
+    # relation, and its criterion matrix is positive semidefinite
+    assume(n_a + n_b >= 1)
+    rng = np.random.default_rng(seed)
+    da, db = dims
+    obs_set = _definite_parity_set(rng, da, db, n_a, n_b)
+    weights = rng.dirichlet(np.ones(n_terms))
+    products = [product_state(oracles.random_pure(rng, da), oracles.random_pure(rng, db))
+                for _ in range(n_terms)]
+    rho = sum(w * psi.density().matrix for w, psi in zip(weights, products))
+    data = correlation_data_from_state(DensityMatrix(da, db, rho), obs_set).validate()
+    c = criterion_matrix_from_data(data)
+    assert np.linalg.eigvalsh(c)[0] >= -1e-10 * max(1.0, np.linalg.norm(c, 2))
+
+
+@pytest.mark.parametrize("m", [2, 20])
+@pytest.mark.parametrize("quadratures", [False, True], ids=["sextet", "quadratures"])
+def test_pure_state_exports_validate(m, quadratures):
+    # for a pure state V + (i/2) Omega is the Gram matrix of the vectors
+    # (xi_j - <xi_j>) psi, singular at t = 0 and t = pi/2, where the state is
+    # a product of two coherent states: its rounding must not read as a
+    # broken uncertainty relation
+    obs_set = hp_quadrature_set(m) if quadratures else collective_spin_set(m)
+    for t in (0.0, 0.05, 0.3, np.pi / 2):
+        psi = spin_ensemble_state(m, t)
+        for state in (psi, psi.density()) if m == 2 else (psi,):
+            data = correlation_data_from_state(state, obs_set).validate()
+            lowest = np.linalg.eigvalsh(data.v + 0.5j * data.omega)[0]
+            if t in (0.0, np.pi / 2):
+                assert abs(lowest) <= 1e-12 * max(1.0, np.abs(data.v).max())
 
 
 class TestDetect:
@@ -939,8 +995,11 @@ VALID_RECORD = dict(labels=("a", "b"), partition=("A", "A"), pt_parity=(1, 1),
     ("v", np.eye(3), r"V has shape \(3, 3\), expected \(2, 2\)"),
     ("omega", [[0.0, np.nan], [np.nan, 0.0]], "Omega contains NaN or Inf entries"),
     ("omega", [[0.0, 0.5], [0.5, 0.0]], "Omega is not antisymmetric"),
+    ("v", np.diag([-1.0, 1.0]), "uncertainty relation violated: .* minimum eigenvalue -1;"),
+    ("omega", [[0.0, 4.0], [-4.0, 0.0]],
+     "uncertainty relation violated: .* minimum eigenvalue -1;"),
 ], ids=["no-operators", "length-mismatch", "means-shape", "partition-C", "v-shape",
-        "omega-nan", "omega-symmetric"])
+        "omega-nan", "omega-symmetric", "negative-variance", "commutator-beyond-variances"])
 def test_invalid_record_rejected_by_name(field, value, message):
     data = CorrelationData(**{**VALID_RECORD, field: value})
     with pytest.raises(DataValidationError, match=message):

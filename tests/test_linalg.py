@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from entcov.criterion import detect
 from entcov.linalg import (
     HermiticityError,
+    clip_psd,
     hermitian_eigenvalues,
     kron,
     partial_transpose,
-    psd_project,
     transpose_factor,
 )
 
@@ -112,15 +112,17 @@ class TestHermitianEigenvalues:
         assert np.allclose(hermitian_eigenvalues(noisy), hermitian_eigenvalues(m), atol=1e-11)
 
 
-class TestPsdProject:
+class TestClipPsd:
+    """The eigenvalue clip of the decomposability projections."""
+
     def test_identity_fixed_point(self):
-        assert np.allclose(psd_project(np.eye(3)), np.eye(3))
+        assert np.allclose(clip_psd(np.eye(3)), np.eye(3))
 
     def test_clip_rule(self):
-        assert np.allclose(psd_project(np.diag([1.0, -2.0])), np.diag([1.0, 0.0]))
+        assert np.allclose(clip_psd(np.diag([1.0, -2.0])), np.diag([1.0, 0.0]))
 
     def test_bell_pt_clip(self):
-        projected = psd_project(oracles.bell_pt_matrix())
+        projected = clip_psd(oracles.bell_pt_matrix())
         assert np.allclose(
             np.linalg.eigvalsh(projected), [0.0, 0.5, 0.5, 0.5], atol=1e-14
         )
@@ -128,9 +130,9 @@ class TestPsdProject:
     def test_output_psd_and_fixed_point_on_psd(self, rng):
         for _ in range(100):
             m = oracles.random_hermitian(rng, int(rng.integers(2, 8)))
-            out = psd_project(m)
+            out = clip_psd(m)
             assert np.linalg.eigvalsh(out)[0] >= -1e-12
-            assert np.allclose(psd_project(out), out, atol=1e-12)
+            assert np.allclose(clip_psd(out), out, atol=1e-12)
 
 
 class TestHermitianDeterminant:

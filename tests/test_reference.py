@@ -14,7 +14,6 @@ from entcov.reference import (
     decomposable_split,
     duan_simon_report,
     ppt_min_eigenvalue,
-    ppt_min_eigenvalue_grid,
     witness_operator,
     witness_optimize,
 )
@@ -104,7 +103,11 @@ class TestPptGrid:
     def test_cells_equal_single_state_calls(self):
         psis = [spin_ensemble_state(20, t) for t in np.linspace(0.0, 0.3, 7)]
         mus = [0.0, 0.45, 1.0]
-        grid = ppt_min_eigenvalue_grid(psis, mus)
+        ppt = PptGrid()
+        # in two blocks, gathered in the order added
+        ppt.add(psis[:3])
+        ppt.add(psis[3:])
+        grid = ppt.min_eigenvalues(mus)
         assert grid.shape == (3, 7)
         for i, mu in enumerate(mus):
             for j, psi in enumerate(psis):
@@ -112,7 +115,7 @@ class TestPptGrid:
 
     def test_rejects_states_of_another_shape(self):
         with pytest.raises(ValueError, match="share one shape"):
-            ppt_min_eigenvalue_grid([spin_ensemble_state(2, 0.1), bell_state()], [1.0])
+            PptGrid().add([spin_ensemble_state(2, 0.1), bell_state()])
         # and across the blocks of one grid
         grid = PptGrid()
         grid.add([spin_ensemble_state(2, 0.1)])
@@ -293,7 +296,7 @@ class TestWitnessOperator:
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: ppt_min_eigenvalue_grid([], [1.0]), "a grid needs at least one state"),
+    (lambda: PptGrid().add([]), "a grid needs at least one state"),
     (lambda: PptGrid().min_eigenvalues([1.0]), "a grid needs at least one state"),
     (lambda: decomposable_split(np.eye(9), 2, 2), "matrix dimension 9 != dim_a[*]dim_b = 4"),
     (lambda: witness_operator(np.full((4, 4), np.nan), 1),

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from entcov.linalg import partial_transpose
 from entcov.observables import PAULI_X, PAULI_Z, collective_spin_matrices
 from entcov.states import (
+    GRID_CHUNK_BYTES,
     DensityMatrix,
     PureState,
     PureStateStack,
@@ -22,12 +23,16 @@ from entcov.states import (
     spin_coherent_x,
     spin_ensemble_state,
     szsz_evolve_blocks,
-    szsz_evolve_grid,
     werner_mix,
 )
 from entcov.uncertainty import variance
 
 import oracles
+
+
+def evolve(state, ts):
+    """The amplitude rows of every block of szsz_evolve_blocks, in order."""
+    return np.concatenate([b.amplitudes for b in szsz_evolve_blocks(state, ts)])
 
 
 class TestPureState:
@@ -218,7 +223,7 @@ class TestPureStateStack:
 
     def test_evolved_grid_is_one_stack(self):
         state = product_state(spin_coherent_x(4), spin_coherent_x(4))
-        grid = szsz_evolve_grid(state, np.linspace(0.0, 0.5, 7))
+        grid, = szsz_evolve_blocks(state, np.linspace(0.0, 0.5, 7))
         assert isinstance(grid, PureStateStack)
         assert grid.amplitudes.shape == (7, 25)
 
@@ -264,8 +269,8 @@ class TestSpinCoherentX:
 class TestSzszEvolve:
     def test_time_zero_is_identity(self):
         state = product_state(spin_coherent_x(3), spin_coherent_x(3))
-        evolved = szsz_evolve_grid(state, [0.0])[0]
-        assert np.array_equal(evolved.amplitudes, state.amplitudes)
+        evolved = evolve(state, [0.0])[0]
+        assert np.array_equal(evolved, state.amplitudes)
 
     def test_phase_matches_matrix_exponential(self):
         m = 1
@@ -273,7 +278,7 @@ class TestSzszEvolve:
         sx, _, sz = collective_spin_matrices(m)
         state0 = product_state(spin_coherent_x(m), spin_coherent_x(m))
         expected = expm(1j * t * np.kron(sz, sz)) @ state0.amplitudes
-        assert np.allclose(szsz_evolve_grid(state0, [t])[0].amplitudes, expected, atol=1e-12)
+        assert np.allclose(evolve(state0, [t])[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_disentangles_at_half_pi(self, m):
@@ -298,12 +303,12 @@ class TestSzszEvolve:
         # the time, not the amplitude row its phases would fill with NaN
         state = product_state(spin_coherent_x(2), spin_coherent_x(2))
         with pytest.raises(ValueError, match="evolution time 1 is not finite"):
-            szsz_evolve_grid(state, [0.1, bad, 0.2])
+            szsz_evolve_blocks(state, [0.1, bad, 0.2])
 
     def test_requires_equal_sides(self):
         state = product_state(spin_coherent_x(2), spin_coherent_x(3))
         with pytest.raises(ValueError):
-            szsz_evolve_grid(state, [0.1])
+            szsz_evolve_blocks(state, [0.1])
 
     @pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
     def test_phase_table_bitwise_equals_per_entry_exp(self, m):
@@ -311,28 +316,29 @@ class TestSzszEvolve:
         state = product_state(spin_coherent_x(m), spin_coherent_x(m))
         ts = np.array([0.0, -0.7, 0.013, 0.5, math.pi, 3.9, -5.2])
         expected = oracles.szsz_evolve_entries(state.amplitudes, m, ts)
-        assert szsz_evolve_grid(state, ts).amplitudes.tobytes() == expected.tobytes()
+        assert evolve(state, ts).tobytes() == expected.tobytes()
         for t, row in zip(ts, expected):
-            assert szsz_evolve_grid(state, [t]).amplitudes.tobytes() == row.tobytes()
+            assert evolve(state, [t]).tobytes() == row.tobytes()
 
     def test_blocks_hold_at_most_their_bytes_and_the_grid_rows(self):
-        # 441 amplitudes of 16 bytes: 10 000 bytes hold one row, 30 000 four
+        # 441 amplitudes of 16 bytes: GRID_CHUNK_BYTES holds 37 rows at M = 20
         state = product_state(spin_coherent_x(20), spin_coherent_x(20))
-        ts = np.linspace(-0.3, 0.5, 17)
-        grid = szsz_evolve_grid(state, ts).amplitudes
-        for block_bytes, rows in ((10_000, 1), (30_000, 4)):
-            blocks = [b.amplitudes for b in szsz_evolve_blocks(state, ts, block_bytes)]
-            assert [len(b) for b in blocks] == [rows] * (17 // rows) + [17 % rows] * (17 % rows > 0)
-            assert np.concatenate(blocks).tobytes() == grid.tobytes()
+        rows = GRID_CHUNK_BYTES // (441 * 16)
+        assert rows == 37
+        ts = np.linspace(-0.3, 0.5, 2 * rows + 3)
+        blocks = [b.amplitudes for b in szsz_evolve_blocks(state, ts)]
+        assert [len(b) for b in blocks] == [rows, rows, 3]
+        expected = oracles.szsz_evolve_entries(state.amplitudes, 20, ts)
+        assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
     def test_grid_rows_equal_single_times(self):
         state = product_state(spin_coherent_x(20), spin_coherent_x(20))
         ts = np.linspace(-0.3, 0.5, 17)
-        grid = szsz_evolve_grid(state, ts)
+        grid, = szsz_evolve_blocks(state, ts)
         assert len(grid) == len(ts)
         for t, evolved in zip(ts, grid):
-            single = szsz_evolve_grid(state, [t])[0]
-            assert evolved.amplitudes.tobytes() == single.amplitudes.tobytes()
+            single = evolve(state, [t])[0]
+            assert evolved.amplitudes.tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("build, message", [
@@ -343,7 +349,7 @@ class TestSzszEvolve:
     (lambda: as_matrix(np.ones((2, 3)) / 2), r"expected a square matrix, got shape \(2, 3\)"),
     (lambda: spin_coherent_x(0), "ensemble size must be >= 1"),
     (lambda: product_state(np.eye(2), [1.0]), "amplitude vectors must be one-dimensional"),
-    (lambda: szsz_evolve_grid(product_state([1.0, 0.0], [1.0, 0.0]), []),
+    (lambda: szsz_evolve_blocks(product_state([1.0, 0.0], [1.0, 0.0]), []),
      "the evolution needs at least one time"),
 ], ids=["dimension-0", "wrong-shape", "weights-2d", "non-square-raw", "coherent-m0",
         "product-2d", "no-time"])
