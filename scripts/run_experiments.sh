@@ -72,4 +72,16 @@ timed entcov witness --m 2 --mu 1.0 --t 0.3 --seed 0 --sweeps 80 --t0 0.15 \
 timed entcov witness --m 2 --mu 1.0 --t 0.3 --seed 1 --sweeps 80 --t0 0.15 \
     --decay 0.95 --out "$OUT/witness_point_seed1.csv"
 
+# the data route: the M = 20 sextet record at t = 0.05, mu = 1, as an
+# experiment would supply it, and the from-data report on it, kept for
+# compare_outputs.py
+timed python3 -c '
+import json, sys
+from entcov import collective_spin_set, correlation_data_from_state, spin_ensemble_state
+data = correlation_data_from_state(spin_ensemble_state(20, 0.05), collective_spin_set(20))
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(data.to_dict(), fh)
+' "$OUT/correlation_m20.json"
+timed entcov from-data --input "$OUT/correlation_m20.json" | tee "$OUT/from_data_m20.txt"
+
 echo "all experiment data written to $OUT/"

@@ -36,22 +36,25 @@ them: scalars for one matrix, arrays with one entry per member for a stack.
 criterion_matrix_from_data rebuilds the criterion matrix from measured
 correlations of local operators with definite transpose parity: the
 parities sign V and Omega, and the same transpose rule orders B-B pairs.
-A record is rejected unless some quantum state could produce it: V
-symmetric, Omega antisymmetric and zero across the partition, and the
-uncertainty relation V + (i/2) Omega >= 0.
+correlation_data_from_state exports each member's derived pt_parity, and
+a record's parities are held to is_unit_parity.  A record is rejected
+unless some quantum state could produce it: V symmetric, Omega
+antisymmetric and zero across the partition, and V + (i/2) Omega >= 0,
+each within DATA_TOL of the record scale max(max|V|, max|Omega|), no floor.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (INPUT_HERMITICITY_TOL, hermitian_eigenvalues, hermiticity_defect,
                      hermitize, partial_transpose)
-from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet, is_unit_parity
+from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet
 from .states import (GRID_CHUNK_BYTES, PureState, WernerState, as_matrix, as_state_stack,
-                     mixing_weights)
+                     mixing_weights, require_bipartition)
 
 DEFAULT_VERDICT_TOL = 1e-9
 DATA_TOL = 1e-10
@@ -62,6 +65,11 @@ UNDETECTED = "UNDETECTED"
 
 class DataValidationError(ValueError):
     """Measured correlation data violates one of its structural invariants."""
+
+
+def is_unit_parity(s) -> bool:
+    """A record's transpose parity: a real +1 or -1 that is not a bool."""
+    return not isinstance(s, bool) and isinstance(s, numbers.Real) and s in (1, -1)
 
 
 def require_tolerance(tol) -> float:
@@ -128,8 +136,9 @@ def _centered_moments(rho, observables, transposed: bool) -> tuple[np.ndarray, n
         grid.add([rho.psi])
         means, k = next(grid._moments([rho.mu]))
         return means[0], k[0]
-    r = as_matrix(rho)
     da, db = observables.dim_a, observables.dim_b
+    require_bipartition(rho, da, db)
+    r = as_matrix(rho)
     if r.shape[0] != da * db:
         raise ValueError(f"state dimension {r.shape[0]} does not match observables {da * db}")
     if not transposed:
@@ -218,10 +227,9 @@ def _centered_gram(psis, obs_set, factors) -> tuple[np.ndarray, np.ndarray]:
     da, db = obs_set.dim_a, obs_set.dim_b
     n = len(factors)
     chunk = max(1, GRID_CHUNK_BYTES // ((2 * n + 1) * da * db * 16))
-    stack = as_state_stack(psis).matrices()
-    if stack.shape[1:] != (da, db):
-        raise ValueError(f"state dimensions {stack.shape[1]}x{stack.shape[2]} do not match "
-                         f"observables {da}x{db}")
+    stack = as_state_stack(psis)
+    require_bipartition(stack, da, db)
+    stack = stack.matrices()
     p = np.empty((len(stack), n))
     g_c = np.empty((len(stack), n, n), dtype=complex)
     work = np.empty((2, min(chunk, len(stack)), n, da, db), dtype=complex)
@@ -450,20 +458,20 @@ class CorrelationData:
                 raise DataValidationError(f"{name} has shape {mat.shape}, expected ({n}, {n})")
             if not np.isfinite(mat).all():
                 raise DataValidationError(f"{name} contains NaN or Inf entries")
-        scale_v = max(1.0, float(np.abs(self.v).max()))
-        if np.abs(self.v - self.v.T).max() > DATA_TOL * scale_v:
+        # no floor: a record at 1e-12 meets the rule of one at 1; exact at 0
+        bound = DATA_TOL * max(np.abs(self.v).max(), np.abs(self.omega).max())
+        if np.abs(self.v - self.v.T).max() > bound:
             raise DataValidationError("covariance matrix V is not symmetric")
-        scale_o = max(1.0, float(np.abs(self.omega).max()))
-        if np.abs(self.omega + self.omega.T).max() > DATA_TOL * scale_o:
+        if np.abs(self.omega + self.omega.T).max() > bound:
             raise DataValidationError("commutation matrix Omega is not antisymmetric")
-        for j, k in np.argwhere(np.abs(self.omega) > DATA_TOL * scale_o):
+        for j, k in np.argwhere(np.abs(self.omega) > bound):
             if self.partition[j] != self.partition[k]:
                 raise DataValidationError(
                     f"Omega[{j},{k}] is nonzero across the A/B partition; "
                     "operators on different subsystems must commute"
                 )
         lowest = float(np.linalg.eigvalsh(hermitize(self.v + 0.5j * self.omega))[0])
-        if lowest < -DATA_TOL * max(scale_v, scale_o):
+        if lowest < -bound:
             raise DataValidationError(
                 f"uncertainty relation violated: V + (i/2) Omega has minimum eigenvalue "
                 f"{lowest:.6g}; no quantum state gives this record"
@@ -482,6 +490,9 @@ class CorrelationData:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CorrelationData":
+        if not isinstance(payload, dict):
+            raise DataValidationError(
+                f"correlation data must be a JSON object, got {type(payload).__name__}")
         try:
             # tuple() would split a string into characters and a dict into keys
             for field in ("labels", "partition", "pt_parity"):
@@ -503,7 +514,8 @@ class CorrelationData:
 
 
 def correlation_data_from_state(rho, obs_set: ObservableSet) -> CorrelationData:
-    """Simulate the measurement record an experiment would supply."""
+    """Simulate the measurement record an experiment would supply, with each
+    member's derived pt_parity; a member with none is rejected by name."""
     for o in obs_set:
         if o.support not in (SUPPORT_A, SUPPORT_B) or o.pt_parity is None:
             raise DataValidationError(

@@ -1,11 +1,14 @@
 """Observable sets: Pauli products, collective spins in the Dicke basis,
 Holstein-Primakoff quadratures, and SO(3)-rotated variants.
 
-The Dicke-basis matrix elements are real for S^x and S^z and purely
-imaginary for S^y, so the transpose over one subsystem acts on the
-generated operators as an exact sign: +1 for S^x, S^z and -1 for S^y.
-That sign is recorded as pt_parity on each observable.  ObservableSet
-checks Hermiticity and parity claims relative to each member's own norm.
+An observable's transpose parity, pt_parity, is computed from the member
+itself, never declared: PT_B leaves an A member a (x) I_B alone (+1), and
+maps a B member I_A (x) b to I_A (x) b^T, which is s times itself for
+s = +1 or -1 when b^T = s b within PT_PARITY_TOL of b's own norm.  The
+Dicke-basis matrix elements are real for S^x and S^z and purely imaginary
+for S^y, so on B those read +1 and -1; a rotation that mixes them has no
+definite parity.  ObservableSet checks Hermiticity relative to each
+member's own norm.
 
 An observable tagged "A" or "B" stores its local factor a or b, a
 dim_a x dim_a or dim_b x dim_b matrix; one tagged "JOINT" stores the full
@@ -20,7 +23,6 @@ the sextet's as its (S^y, S^z) block divided by 2M.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations_with_replacement
@@ -54,39 +56,38 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def is_unit_parity(s) -> bool:
-    """A transpose parity: a real +1 or -1 that is not a bool."""
-    return not isinstance(s, bool) and isinstance(s, numbers.Real) and s in (1, -1)
-
-
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian operator with support and parity tags.
+    """Hermitian operator with a support tag.
 
     matrix is the local factor for support "A" or "B" and the joint-space
-    matrix for "JOINT".  pt_parity, when set, asserts that the partial
-    transpose over B maps the joint operator to pt_parity times itself, and
-    is stored as a Python int; ObservableSet verifies the claim.
+    matrix for "JOINT".
     """
 
     label: str
     matrix: np.ndarray
     support: str
-    pt_parity: int | None = None
 
     def __post_init__(self):
         if self.support not in (SUPPORT_A, SUPPORT_B, SUPPORT_JOINT):
             raise ValueError(f"unknown support tag {self.support!r}")
-        if self.pt_parity is not None:
-            if not is_unit_parity(self.pt_parity):
-                raise ValueError(f"pt_parity must be +1, -1 or None, got {self.pt_parity!r}")
-            object.__setattr__(self, "pt_parity", int(self.pt_parity))
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"observable {self.label!r} is not a square matrix")
         if not np.isfinite(m).all():
             raise ValueError(f"observable {self.label!r} contains NaN or Inf entries")
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def pt_parity(self) -> int | None:
+        """The s with PT_B(xi) = s xi: +1 on A; on B the s of +1, -1 with
+        ||b^T - s b|| <= PT_PARITY_TOL ||b||; None otherwise and for a JOINT
+        member, whose parity nothing reads."""
+        if self.support != SUPPORT_B:
+            return 1 if self.support == SUPPORT_A else None
+        bound = PT_PARITY_TOL * np.linalg.norm(self.matrix)
+        return next((s for s in (1, -1)
+                     if np.linalg.norm(self.matrix.T - s * self.matrix) <= bound), None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,18 +115,6 @@ class ObservableSet:
                 )
             if hermiticity_defect(o.matrix) > INPUT_HERMITICITY_TOL:
                 raise ValueError(f"observable {o.label!r} is not Hermitian")
-            if o.pt_parity is not None:
-                # PT_B maps a (x) I_B to itself and I_A (x) b to I_A (x) b^T
-                if o.support == SUPPORT_JOINT:
-                    pt = partial_transpose(o.matrix, self.dim_a, self.dim_b, "B")
-                else:
-                    pt = o.matrix.T if o.support == SUPPORT_B else o.matrix
-                scale = np.linalg.norm(o.matrix)
-                if np.linalg.norm(pt - o.pt_parity * o.matrix) > PT_PARITY_TOL * scale:
-                    raise ValueError(
-                        f"observable {o.label!r} does not have partial-transpose "
-                        f"parity {o.pt_parity}"
-                    )
             if o.label in labels:
                 raise ValueError(f"duplicate observable label {o.label!r}")
             labels.add(o.label)
@@ -193,9 +182,9 @@ class ObservableSet:
 def pauli_product_set() -> ObservableSet:
     """The two-qubit triple (sigma^x sigma^x, sigma^y sigma^y, sigma^z sigma^z)."""
     members = (
-        Observable("XX", kron(PAULI_X, PAULI_X), SUPPORT_JOINT, 1),
-        Observable("YY", kron(PAULI_Y, PAULI_Y), SUPPORT_JOINT, -1),
-        Observable("ZZ", kron(PAULI_Z, PAULI_Z), SUPPORT_JOINT, 1),
+        Observable("XX", kron(PAULI_X, PAULI_X), SUPPORT_JOINT),
+        Observable("YY", kron(PAULI_Y, PAULI_Y), SUPPORT_JOINT),
+        Observable("ZZ", kron(PAULI_Z, PAULI_Z), SUPPORT_JOINT),
     )
     return ObservableSet(members, 2, 2)
 
@@ -223,24 +212,19 @@ def collective_spin_set(m: int) -> ObservableSet:
     its (M+1) x (M+1) factor."""
     sx, sy, sz = collective_spin_matrices(m)
     members = (
-        Observable("Sx_A", sx, SUPPORT_A, 1),
-        Observable("Sy_A", sy, SUPPORT_A, 1),
-        Observable("Sz_A", sz, SUPPORT_A, 1),
-        Observable("Sx_B", sx, SUPPORT_B, 1),
-        Observable("Sy_B", sy, SUPPORT_B, -1),
-        Observable("Sz_B", sz, SUPPORT_B, 1),
+        Observable("Sx_A", sx, SUPPORT_A),
+        Observable("Sy_A", sy, SUPPORT_A),
+        Observable("Sz_A", sz, SUPPORT_A),
+        Observable("Sx_B", sx, SUPPORT_B),
+        Observable("Sy_B", sy, SUPPORT_B),
+        Observable("Sz_B", sz, SUPPORT_B),
     )
     return ObservableSet(members, m + 1, m + 1)
 
 
 def _require_spin_sextet(obs_set: ObservableSet):
-    supports = tuple(o.support for o in obs_set)
-    if len(obs_set) != 6 or supports != (
-        SUPPORT_A, SUPPORT_A, SUPPORT_A, SUPPORT_B, SUPPORT_B, SUPPORT_B,
-    ):
-        raise ValueError(
-            "expected a spin sextet ordered (x, y, z) on A then (x, y, z) on B"
-        )
+    if [o.support for o in obs_set] != [SUPPORT_A] * 3 + [SUPPORT_B] * 3:
+        raise ValueError("expected a spin sextet ordered (x, y, z) on A then (x, y, z) on B")
 
 
 def hp_quadrature_set(m: int, spin_set: ObservableSet | None = None) -> ObservableSet:
@@ -265,8 +249,7 @@ def hp_quadrature_set(m: int, spin_set: ObservableSet | None = None) -> Observab
         )
     scale = 1.0 / np.sqrt(HP_QUADRATURES.spin_factor * m)
     members = tuple(
-        Observable(label, scale * spin_set[i].matrix, spin_set[i].support,
-                   spin_set[i].pt_parity)
+        Observable(label, scale * spin_set[i].matrix, spin_set[i].support)
         for label, i in zip(HP_QUADRATURES.labels, HP_QUADRATURES.index)
     )
     return ObservableSet(members, spin_set.dim_a, spin_set.dim_b)
@@ -281,11 +264,7 @@ def hp_quadrature_block(sextet_matrices: np.ndarray, m: int) -> np.ndarray:
 
 
 def rotate_so3(obs_set: ObservableSet, r) -> ObservableSet:
-    """Apply one 3x3 rotation to the A spin triple and the B spin triple.
-
-    The rotated operators generally have no definite partial-transpose
-    parity, so pt_parity is cleared on every member.
-    """
+    """Apply one 3x3 rotation to the A spin triple and the B spin triple."""
     _require_spin_sextet(obs_set)
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
@@ -294,13 +273,10 @@ def rotate_so3(obs_set: ObservableSet, r) -> ObservableSet:
         raise ValueError("rotation matrix contains NaN or Inf entries")
     if np.linalg.norm(r.T @ r - np.eye(3)) > ORTHOGONALITY_TOL:
         raise ValueError("rotation matrix is not orthogonal")
-    members = []
-    for block in (0, 3):
-        triple = [obs_set[block + j].matrix for j in range(3)]
-        for i in range(3):
-            rotated = sum(r[i, j] * triple[j] for j in range(3))
-            label = obs_set[block + i].label + "'"
-            members.append(
-                Observable(label, rotated, obs_set[block + i].support, None)
-            )
-    return ObservableSet(tuple(members), obs_set.dim_a, obs_set.dim_b)
+    members = tuple(
+        Observable(obs_set[block + i].label + "'",
+                   sum(r[i, j] * obs_set[block + j].matrix for j in range(3)),
+                   obs_set[block + i].support)
+        for block in (0, 3) for i in range(3)
+    )
+    return ObservableSet(members, obs_set.dim_a, obs_set.dim_b)

@@ -24,7 +24,7 @@ from .linalg import (clip_psd, hermitian_eigenvalues, hermitize, kron, partial_t
                      require_square, transpose_factor)
 from .observables import ObservableSet, collective_spin_matrices, hp_quadrature_set
 from .states import (DensityMatrix, PureState, WernerState, as_matrix, as_state_stack,
-                     mixing_weights)
+                     mixing_weights, require_bipartition)
 
 
 def ppt_min_eigenvalue(rho) -> float:
@@ -254,10 +254,12 @@ def witness_optimize(
     a Gaussian kick per step; the proposal passes a Metropolis test on <W>
     and is then certified decomposable by alternating projections, with
     infeasible candidates rejected outright.  Every committed candidate is
-    a valid witness, so a negative optimum certifies entanglement.
+    a valid witness, so a negative optimum certifies entanglement.  A state
+    whose bipartition is not (m+1) x (m+1) is rejected by name.
     """
     params = params or AnnealParams()
     d_side = m + 1
+    require_bipartition(rho, d_side, d_side, "witness basis")
     dim = d_side * d_side
     basis = witness_basis(m)
     ops = [[kron(a, b) for b in basis] for a in basis]

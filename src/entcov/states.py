@@ -216,6 +216,16 @@ def as_matrix(state) -> np.ndarray:
     return _require_density_rules(m)
 
 
+def require_bipartition(state, dim_a: int, dim_b: int, what: str = "observables"):
+    """Reject a state whose own bipartition is not the dim_a x dim_b of what;
+    a raw array has none and is left to the callers' size checks."""
+    own = state.psi if isinstance(state, WernerState) else state
+    if (isinstance(own, (DensityMatrix, PureState, PureStateStack))
+            and (own.dim_a, own.dim_b) != (dim_a, dim_b)):
+        raise ValueError(f"state dimensions {own.dim_a}x{own.dim_b} do not match "
+                         f"{what} {dim_a}x{dim_b}")
+
+
 def bell_state() -> PureState:
     """(|00> + |11>)/sqrt(2) on two qubits."""
     amps = np.zeros(4, dtype=complex)

@@ -489,6 +489,27 @@ class TestFromData:
         assert (f"uncertainty relation violated: V + (i/2) Omega has minimum eigenvalue "
                 f"{lowest};") in captured.err
 
+    def test_small_scale_violation_rejected(self, tmp_path, capsys):
+        # V = diag(-5e-11, 1e-12): the scale floor of 1 let it through, and
+        # with --tol 1e-12 it was certified ENTANGLED
+        payload = {"labels": ["x_A", "x_B"], "partition": ["A", "B"], "pt_parity": [1, 1],
+                   "means": [0.0, 0.0], "V": [[-5e-11, 0.0], [0.0, 1e-12]],
+                   "Omega": [[0.0, 0.0], [0.0, 0.0]]}
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(payload))
+        assert main(["from-data", "--input", str(path), "--tol", "1e-12"]) == 2
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert "uncertainty relation violated" in captured.err
+
+    @pytest.mark.parametrize("top, name", [([1, 2], "list"), ("text", "str"), (3.5, "float"),
+                                           (None, "NoneType")])
+    def test_non_object_top_level_rejected_by_name(self, tmp_path, capsys, top, name):
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps(top))
+        assert main(["from-data", "--input", str(path)]) == 2
+        assert f"correlation data must be a JSON object, got {name}" in capsys.readouterr().err
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json {")

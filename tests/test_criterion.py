@@ -623,6 +623,33 @@ class TestGridInputs:
             grid.add([spin_ensemble_state(3, 0.1)])
 
 
+class TestStateBipartition:
+    """A state that carries a bipartition is held to the set's on every
+    route, with the amplitude route's message; a raw array keeps the size
+    check.  The dense route read only D, so a 3x2 state passed a 2x3 set."""
+
+    def test_density_matrix_of_the_mirrored_shape_rejected(self, rng):
+        obs_set = _definite_parity_set(rng, 2, 3, 2, 2)
+        rho = oracles.random_density(rng, 6)
+        message = "state dimensions 3x2 do not match observables 2x3"
+        psi = PureState(3, 2, oracles.random_pure(rng, 6))
+        for state in (DensityMatrix(3, 2, rho), psi, WernerState(psi, 0.5)):
+            for route in (criterion_matrix, covariance_commutation):
+                with pytest.raises(ValueError, match=message):
+                    route(state, obs_set)
+        assert criterion_matrix(rho, obs_set).shape == (4, 4)
+        with pytest.raises(ValueError, match="state dimension 4 does not match observables 6"):
+            criterion_matrix(np.eye(4) / 4, obs_set)
+
+    def test_joint_set_checks_the_state_shape(self):
+        psi = PureState(4, 1, bell_state().amplitudes)
+        for state in (psi, WernerState(psi, 0.5), psi.density()):
+            with pytest.raises(ValueError, match="state dimensions 4x1 do not match "
+                                                 "observables 2x2"):
+                criterion_matrix(state, pauli_product_set())
+        assert criterion_matrix(bell_state(), pauli_product_set()).shape == (3, 3)
+
+
 def _definite_parity_factor(rng, dim, odd):
     """Real symmetric (transpose parity +1) or purely imaginary
     antisymmetric (parity -1) Hermitian factor."""
@@ -632,16 +659,17 @@ def _definite_parity_factor(rng, dim, odd):
 
 def _definite_parity_set(rng, da, db, n_a, n_b):
     """n_a A members and n_b B members of random definite parity, shuffled.
-    PT_B leaves A-side factors alone, so every A member has parity +1
-    whether its factor is real symmetric or imaginary antisymmetric."""
+    No parity is passed: each member derives its own, +1 for every A member
+    (PT_B leaves A-side factors alone) and -1 for an imaginary antisymmetric
+    B factor, so the routes that read it check the derivation."""
     members = []
     for i in range(n_a):
         a = _definite_parity_factor(rng, da, rng.random() < 0.5)
-        members.append(Observable(f"a{i}", a, "A", 1))
+        members.append(Observable(f"a{i}", a, "A"))
     for i in range(n_b):
         odd = bool(rng.random() < 0.5)
         b = _definite_parity_factor(rng, db, odd)
-        members.append(Observable(f"b{i}", b, "B", -1 if odd else 1))
+        members.append(Observable(f"b{i}", b, "B"))
     order = rng.permutation(len(members))
     return ObservableSet(tuple(members[i] for i in order), da, db)
 
@@ -873,11 +901,32 @@ class TestCorrelationDataPath:
             correlation_data_from_state(rho, pauli_product_set())
 
     def test_missing_parity_rejected(self):
+        # 45 degrees about z mixes S^x_B and S^y_B, of opposite parities
         m = 2
         rho = werner_mix(spin_ensemble_state(m, 0.3), 1.0)
-        rotated = rotate_so3(collective_spin_set(m), np.eye(3))
-        with pytest.raises(DataValidationError, match="parity"):
+        c = np.sqrt(0.5)
+        rotated = rotate_so3(collective_spin_set(m), [[c, c, 0], [-c, c, 0], [0, 0, 1]])
+        with pytest.raises(DataValidationError,
+                           match="observable \"Sx_B'\" is not locally supported with a "
+                                 "definite transpose parity"):
             correlation_data_from_state(rho, rotated)
+
+    @pytest.mark.parametrize("m", [2, 20])
+    @pytest.mark.parametrize("r, parities", [
+        (np.eye(3), [1, 1, 1, 1, -1, 1]),
+        ([[0, -1, 0], [1, 0, 0], [0, 0, 1]], [1, 1, 1, -1, 1, 1]),
+        ([[0, 0, 1], [-1, 0, 0], [0, -1, 0]], [1, 1, 1, 1, 1, -1]),
+    ], ids=["identity", "90-about-z", "signed-permutation"])
+    def test_rotations_with_definite_parity_export(self, m, r, parities):
+        # these rotated members have exact parities; a declared parity that
+        # every rotation cleared had the data route reject them all
+        state = WernerState(spin_ensemble_state(m, 0.05), 0.9)
+        rotated = rotate_so3(collective_spin_set(m), r)
+        data = correlation_data_from_state(state, rotated)
+        assert list(data.pt_parity) == parities
+        direct = criterion_matrix(state, rotated)
+        bound = 1e-12 * max(1.0, np.linalg.norm(direct, 2))
+        assert np.abs(criterion_matrix_from_data(data) - direct).max() <= bound
 
     def test_asymmetric_v_rejected(self):
         data = CorrelationData(
@@ -953,24 +1002,14 @@ class TestCorrelationDataPath:
         with pytest.raises(DataValidationError, match="missing field"):
             CorrelationData.from_dict({"labels": ["a"]})
 
-    @pytest.mark.parametrize("entry", [1.5, -1.7, True, "1"])
+    @pytest.mark.parametrize("entry", [1.5, -1.7, True, "1", False,
+                                       pytest.param(np.bool_(True), id="numpy-bool"), 0, 1j])
     def test_non_unit_parity_rejected_by_name(self, entry):
         _, _, data = self.build_data()
         payload = data.to_dict()
         payload["pt_parity"][4] = entry
         with pytest.raises(DataValidationError, match="pt_parity entry"):
             CorrelationData.from_dict(payload).validate()
-
-    def test_export_with_numpy_parities_reads_back(self):
-        m = 2
-        members = tuple(Observable(o.label, o.matrix, o.support, np.int64(o.pt_parity))
-                        for o in collective_spin_set(m))
-        obs_set = ObservableSet(members, m + 1, m + 1)
-        data = correlation_data_from_state(werner_mix(spin_ensemble_state(m, 0.3), 0.9), obs_set)
-        restored = CorrelationData.from_dict(json.loads(json.dumps(data.to_dict()))).validate()
-        assert restored.pt_parity == (1, 1, 1, 1, -1, 1)
-        assert np.array_equal(criterion_matrix_from_data(restored),
-                              criterion_matrix_from_data(data))
 
     def test_float_unit_parity_accepted(self):
         _, _, data = self.build_data()
@@ -1004,6 +1043,30 @@ def test_invalid_record_rejected_by_name(field, value, message):
     data = CorrelationData(**{**VALID_RECORD, field: value})
     with pytest.raises(DataValidationError, match=message):
         data.validate()
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0])
+@pytest.mark.parametrize("partition, v, omega, message", [
+    (("A", "A"), [[100.0, 50.0], [-50.0, 100.0]], np.zeros((2, 2)),
+     "covariance matrix V is not symmetric"),
+    (("A", "B"), 100 * np.eye(2), [[0.0, 50.0], [-50.0, 0.0]],
+     r"Omega\[0,1\] is nonzero across the A/B partition"),
+    (("A", "B"), np.diag([-50.0, 1.0]), np.zeros((2, 2)),
+     "uncertainty relation violated: .* minimum eigenvalue -5"),
+], ids=["asymmetric-v", "cross-partition-omega", "negative-variance"])
+def test_record_checks_scale_with_the_record(scale, partition, v, omega, message):
+    # the scales were floored at 1, so the records at 1e-12 passed every check
+    record = {**VALID_RECORD, "partition": partition, "v": scale * np.asarray(v),
+              "omega": scale * np.asarray(omega)}
+    with pytest.raises(DataValidationError, match=message):
+        CorrelationData(**record).validate()
+
+
+def test_zero_record_checked_exactly():
+    # with V = Omega = 0 the record scale is 0 and every check is exact
+    assert CorrelationData(**{**VALID_RECORD, "v": np.zeros((2, 2))}).validate()
+    with pytest.raises(DataValidationError, match="not symmetric"):
+        CorrelationData(**{**VALID_RECORD, "v": [[0.0, 1e-300], [0.0, 0.0]]}).validate()
 
 
 def test_empty_raw_operator_list_rejected():

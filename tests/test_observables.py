@@ -35,9 +35,12 @@ class TestPauliProductSet:
             assert np.allclose(obs.matrix @ obs.matrix, np.eye(4))
 
     def test_pt_parity_of_yy(self):
+        # PT_B maps YY to -YY, but a JOINT member's parity is not derived:
+        # nothing reads it, and the data route takes local members only
         obs_set = pauli_product_set()
         yy = obs_set[1]
-        assert yy.pt_parity == -1
+        assert yy.pt_parity is None
+        assert [o.pt_parity for o in obs_set] == [None, None, None]
         pt = partial_transpose(yy.matrix, 2, 2, "B")
         assert np.allclose(pt, -yy.matrix)
 
@@ -114,9 +117,14 @@ class TestHpQuadratureSet:
         assert quads.labels == ("x_A", "p_A", "x_B", "p_B")
 
     def test_rotated_source_clears_parity(self):
-        rot = rotate_so3(collective_spin_set(2), np.eye(3))
-        quads = hp_quadrature_set(2, spin_set=rot)
-        assert all(q.pt_parity is None for q in quads)
+        # a rotation that mixes S^y and S^z leaves the B quadratures without a
+        # definite parity; the identity rotation keeps every parity
+        c = np.sqrt(0.5)
+        about_x = np.array([[1, 0, 0], [0, c, -c], [0, c, c]])
+        quads = hp_quadrature_set(2, spin_set=rotate_so3(collective_spin_set(2), about_x))
+        assert [q.pt_parity for q in quads] == [1, 1, None, None]
+        quads = hp_quadrature_set(2, spin_set=rotate_so3(collective_spin_set(2), np.eye(3)))
+        assert [q.pt_parity for q in quads] == [1, 1, -1, 1]
 
     @pytest.mark.parametrize("rotated", [False, True])
     def test_criterion_matrix_is_sextet_block(self, rng, rotated):
@@ -151,7 +159,7 @@ class TestRotateSo3:
         rotated = rotate_so3(obs_set, np.eye(3))
         for before, after in zip(obs_set, rotated):
             assert np.allclose(after.matrix, before.matrix)
-            assert after.pt_parity is None
+            assert after.pt_parity == before.pt_parity
 
     def test_diagonal_xy_rotation(self):
         # x' = (x + y)/sqrt(2), y' = (y - x)/sqrt(2), z' = z
@@ -189,7 +197,7 @@ class TestValidation:
         m = np.eye(2 if support == "A" else 4, dtype=complex)
         m[1, 1] = np.nan
         with pytest.raises(ValueError, match="observable 'bad' contains NaN or Inf"):
-            Observable("bad", m, support, 1)
+            Observable("bad", m, support)
 
     def test_rejects_non_hermitian_member(self):
         bad = Observable("bad", np.array([[0, 1], [0, 0]]), "A")
@@ -197,14 +205,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             ObservableSet((bad, good), 2, 1)
 
-    def test_rejects_wrong_parity_claim(self):
-        bad = Observable("yy", np.kron(oracles.SY, oracles.SY), "JOINT", 1)
-        with pytest.raises(ValueError, match="parity"):
-            ObservableSet((bad,), 2, 2)
+    def test_takes_no_parity_argument(self):
+        # the parity is derived from the member, so there is no claim to pass
+        with pytest.raises(TypeError):
+            Observable("yy", np.kron(oracles.SY, oracles.SY), "JOINT", 1)
+        with pytest.raises(TypeError):
+            Observable("z", oracles.SZ, "B", pt_parity=1)
 
     def test_rejects_duplicate_labels(self):
         a = Observable("w", np.eye(2), "A")
-        b = Observable("w", np.kron(oracles.SZ, oracles.SZ), "JOINT", 1)
+        b = Observable("w", np.kron(oracles.SZ, oracles.SZ), "JOINT")
         with pytest.raises(ValueError, match="duplicate"):
             ObservableSet((a, b), 2, 2)
 
@@ -228,23 +238,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"'XX' is tagged 'B' but has shape \(4, 4\)"):
             ObservableSet(members[2:], 2, 2)
 
-    @pytest.mark.parametrize("parity", [True, False, np.bool_(True), 1.5, "1", 0, 1j])
-    def test_rejects_non_unit_parity(self, parity):
-        with pytest.raises(ValueError, match="pt_parity must be"):
-            Observable("z", oracles.SZ, "A", parity)
-
-    @pytest.mark.parametrize("parity", [np.int64(1), np.int32(-1), 1.0, np.float64(-1.0)])
-    def test_unit_parity_stored_as_int(self, parity):
-        stored = Observable("z", oracles.SZ, "A", parity).pt_parity
-        assert type(stored) is int and stored == parity
-
     def test_local_parity_checked_on_factor(self):
-        sy_b = Observable("Sy_B", oracles.SY, "B", 1)
-        with pytest.raises(ValueError, match="parity 1"):
-            ObservableSet((sy_b,), 3, 2)
-        sy_a = Observable("Sy_A", oracles.SY, "A", -1)
-        with pytest.raises(ValueError, match="parity -1"):
-            ObservableSet((sy_a,), 2, 3)
+        # PT_B transposes a B factor and leaves an A factor alone
+        assert Observable("Sy_B", oracles.SY, "B").pt_parity == -1
+        assert Observable("Sy_A", oracles.SY, "A").pt_parity == 1
+        assert Observable("Sx_B", oracles.SX, "B").pt_parity == 1
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_hermiticity_measured_on_member_norm(self, scale):
@@ -254,12 +252,19 @@ class TestValidation:
             ObservableSet((nilpotent,), 2, 2)
         assert len(ObservableSet((Observable("y", scale * oracles.SY, "A"),), 2, 2)) == 1
 
-    def test_parity_claim_measured_on_member_norm(self):
-        # an absolute floor below norm 1 accepted parity +1 on 1e-12 S^y_B
-        small = 1e-12 * oracles.SY
-        with pytest.raises(ValueError, match="does not have partial-transpose parity 1"):
-            ObservableSet((Observable("Sy_B", small, "B", 1),), 2, 2)
-        assert ObservableSet((Observable("Sy_B", small, "B", -1),), 2, 2)[0].pt_parity == -1
+    @pytest.mark.parametrize("matrix, support, parity", [
+        (1e-12 * oracles.SY, "B", -1),
+        (1e12 * oracles.SX, "B", 1),
+        (oracles.SX + oracles.SY, "B", None),
+        (1e-12 * oracles.SY, "A", 1),
+        (oracles.SX + oracles.SY, "A", 1),
+        (np.zeros((2, 2)), "B", 1),
+        (np.kron(oracles.SZ, oracles.SZ), "JOINT", None),
+    ], ids=["small-Sy-B", "large-Sx-B", "Sx+Sy-B", "small-Sy-A", "Sx+Sy-A", "zero-B", "ZZ"])
+    def test_parity_measured_on_member_norm(self, matrix, support, parity):
+        # an absolute floor would give 1e-12 S^y_B both signs, and 1e12 S^x_B neither
+        derived = Observable("o", matrix, support).pt_parity
+        assert derived == parity and type(derived) is type(parity)
 
     @pytest.mark.parametrize("build, message", [
         (lambda: Observable("c", np.eye(2), "C"), "unknown support tag 'C'"),

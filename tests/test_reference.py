@@ -275,6 +275,13 @@ class TestWitnessOptimize:
         with pytest.raises(ValueError, match="dimension"):
             witness_optimize(rho, 3, FAST_ANNEAL, seed=0)
 
+    def test_state_of_another_bipartition_rejected(self, rng):
+        # a 2x8 state has the D = 16 of m = 3, but not its 4x4 bipartition
+        rho = DensityMatrix(2, 8, oracles.random_density(rng, 16))
+        with pytest.raises(ValueError, match="state dimensions 2x8 do not match "
+                                             "witness basis 4x4"):
+            witness_optimize(rho, 3, FAST_ANNEAL, seed=0)
+
 
 class TestWitnessOperator:
     def test_identity_coefficients(self):
