@@ -12,7 +12,7 @@ from entcov.observables import (
     pauli_product_set,
     rotate_so3,
 )
-from entcov.criterion import criterion_matrix
+from entcov.criterion import criterion_matrix, is_unit_parity
 from entcov.states import DensityMatrix, product_state, spin_coherent_x
 
 import oracles
@@ -211,6 +211,14 @@ class TestValidation:
             Observable("yy", np.kron(oracles.SY, oracles.SY), "JOINT", 1)
         with pytest.raises(TypeError):
             Observable("z", oracles.SZ, "B", pt_parity=1)
+
+    @pytest.mark.parametrize("parity", [True, False, np.bool_(True), 1.5, "1", 0, 1j])
+    def test_rejects_non_unit_parity(self, parity):
+        # Observable refuses a parity of any value, and the +1/-1 rule that
+        # exported parities are held to refuses each of these
+        with pytest.raises(TypeError):
+            Observable("z", oracles.SZ, "A", parity)
+        assert not is_unit_parity(parity)
 
     def test_rejects_duplicate_labels(self):
         a = Observable("w", np.eye(2), "A")
