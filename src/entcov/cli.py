@@ -136,17 +136,11 @@ def _fmt(x: float) -> str:
     return format(float(x), FLOAT_SPEC)
 
 
-def _fmt_column(xs) -> list[str]:
-    """_fmt of every entry of a 1-D array of reals, as one list."""
-    return [format(x, FLOAT_SPEC) for x in np.asarray(xs, dtype=float).tolist()]
-
-
 def _flip_midpoints(xs, flags) -> list[float]:
-    return [
-        0.5 * (xs[i - 1] + xs[i])
-        for i in range(1, len(xs))
-        if flags[i] != flags[i - 1]
-    ]
+    """Midpoint of each pair of neighbouring cells whose flags differ, the
+    pairs found by one array comparison."""
+    flags = np.asarray(flags)
+    return [0.5 * (xs[i - 1] + xs[i]) for i in np.flatnonzero(flags[1:] != flags[:-1]) + 1]
 
 
 def _check_seed(seed: int):
@@ -160,16 +154,20 @@ def _point_seed(master: int, index: int) -> int:
 
 def _write_csv(out, config: dict, comments, columns: dict):
     """The one CSV writer: the header, config and comment lines, then a row
-    per entry of the named 1-D columns, numbers formatted by _fmt_column
-    and strings (verdicts) as they are.  The comments are then printed."""
-    cells = [col.tolist() if col.dtype.kind == "U" else _fmt_column(col)
-             for col in map(np.asarray, columns.values())]
-    rows = list(zip(*cells))
+    per entry of the named 1-D columns, strings (verdicts) as they are and
+    numbers as _fmt gives them.  Each row is one % over a template of "%s"
+    and "%" FLOAT_SPEC cells, which formats a float to the bytes of
+    format(x, FLOAT_SPEC).  The comments are then printed."""
+    arrays = list(map(np.asarray, columns.values()))
+    template = ",".join("%s" if col.dtype.kind == "U" else "%" + FLOAT_SPEC for col in arrays)
+    cells = [col.tolist() if col.dtype.kind == "U" else col.astype(float).tolist()
+             for col in arrays]
+    rows = [template % row for row in zip(*cells)]
     lines = ["# entcov " + config["experiment"].lower().replace("_", "-") + " output"]
     lines.append("# config: " + json.dumps(config, sort_keys=True))
     lines.extend("# " + c for c in comments)
     lines.append(",".join(columns))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(rows)
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)

@@ -179,8 +179,10 @@ def uncertainty_matrix(rho, observables) -> np.ndarray:
 def _transpose_b_pairs(k: np.ndarray, on_b: np.ndarray) -> np.ndarray:
     """The transpose rule: PT_B(xi_j xi_k) = PT_B(xi_k) PT_B(xi_j) when both
     act on B, so entry (j,k) of such a pair takes the (k,j) value, in each
-    member of a stack (..., N, N)."""
-    return np.where(np.outer(on_b, on_b), np.swapaxes(k, -1, -2), k)
+    member of a stack (..., N, N), in place; k is returned."""
+    b = np.flatnonzero(on_b)
+    k[..., b[:, None], b] = k[..., b, b[:, None]]
+    return k
 
 
 def _diagonal_scaling(f: np.ndarray, on_b: bool) -> np.ndarray | None:
@@ -211,22 +213,28 @@ def _centered_gram(psis, obs_set, factors) -> tuple[np.ndarray, np.ndarray]:
 
     v_j = a_j Psi or Psi f_j on the amplitude matrix Psi, over the set's
     factors (_gram_factors).  Each factor acts on a whole chunk of stacked
-    amplitude matrices at once; a chunk holds as many psi as keep its v,
-    the conjugate of v and its amplitude rows within GRID_CHUNK_BYTES.  v
-    and the one temporary of its size (the conjugate of psi, the outer
-    products p psi^T, then the conjugate of v) share one allocation per
-    call, which every chunk reuses: allocated per chunk, a sweep in one-psi blocks had the
+    amplitude matrices at once; a chunk holds as many psi as keep what the
+    kernel allocates, v and the one temporary of its size, 2 N D 16 bytes
+    per psi, within GRID_CHUNK_BYTES (three psi of the M = 20 sextet): the
+    amplitude rows are views of the block, not allocations.  v and the
+    temporary (the conjugate of psi, the outer products p psi^T, then the
+    conjugate of v) share one allocation per call, which every chunk
+    reuses: allocated per chunk, a sweep in one-psi blocks had the
     allocator return them to the system and fault them in anew for every
-    block.  Every psi is computed alone within its chunk, so the chunking
-    does not change a bit of the result.  A factor with a real diagonal and exactly zero
-    off-diagonal entries (S^z in the sextet, the rotated sextet and the
-    quadratures) scales the rows or columns of Psi instead: the matmul
-    would only add exact zeros to the same products, so the result is the
-    same bit for bit.
+    block.  The outer products are one real multiply of p by the float
+    view of psi, without a complex matmul of inner dimension 1: the values
+    of (p + 0i) psi^T, where an exact zero may take the other sign (at
+    t = 0, where psi is real), a difference no output shows.  Every psi
+    is computed alone within its chunk, so the chunking does not change a
+    bit of the result.  A factor with a
+    real diagonal and exactly zero off-diagonal entries (S^z in the
+    sextet, the rotated sextet and the quadratures) scales the rows or
+    columns of Psi instead: the matmul would only add exact zeros to the
+    same products, so the result is the same bit for bit.
     """
     da, db = obs_set.dim_a, obs_set.dim_b
     n = len(factors)
-    chunk = max(1, GRID_CHUNK_BYTES // ((2 * n + 1) * da * db * 16))
+    chunk = max(1, GRID_CHUNK_BYTES // (2 * n * da * db * 16))
     stack = as_state_stack(psis)
     require_bipartition(stack, da, db)
     stack = stack.matrices()
@@ -249,9 +257,10 @@ def _centered_gram(psis, obs_set, factors) -> tuple[np.ndarray, np.ndarray]:
         rows = slice(start, start + len(amps))
         # the conjugate of psi goes into w, which is free until the outer products
         p[rows] = np.matmul(v, np.conjugate(amps, out=w[:, 0])[:, :, None])[:, :, 0].real
-        # the outer products p psi^T as a matmul: a broadcast product would
-        # hold numpy's iteration buffers, twice the size of v, on top of it
-        v -= np.matmul(p[rows, :, None].astype(complex), amps[:, None, :], out=w)
+        # p psi^T on the float views: all-real operands need no iteration
+        # buffers, which a complex broadcast product would hold on top of v
+        np.multiply(p[rows, :, None], amps.view(float)[:, None, :], out=w.view(float))
+        v -= w
         np.matmul(np.conjugate(v, out=w), np.swapaxes(v, -1, -2), out=g_c[rows])
     return p, g_c
 
@@ -270,7 +279,9 @@ def _mu_moments(p, g_c, mus, obs_set, transposed: bool):
     that at a few hundred spins per side would lift rounding above the
     verdict tolerance.  One mu at a time, because a product broadcast over
     the whole grid would hold numpy's iteration buffers, larger than the
-    grid itself.
+    grid itself.  Every mu's K is built in one buffer, in the order of the
+    sum above, and the next mu overwrites it: a caller reads or copies each
+    K before it asks for the next.
     """
     mus = mixing_weights(mus)
     tau, t_c = obs_set.mixed_moments
@@ -278,10 +289,14 @@ def _mu_moments(p, g_c, mus, obs_set, transposed: bool):
     outer = shift[:, :, None] * shift[:, None, :]
 
     def moments():
+        k = np.empty_like(g_c)
+        scaled = np.empty_like(outer)
         for mu in mus:
-            k = mu * g_c + (1.0 - mu) * t_c + mu * (1.0 - mu) * outer
+            np.multiply(mu, g_c, out=k)
+            k += (1.0 - mu) * t_c
+            k += np.multiply(mu * (1.0 - mu), outer, out=scaled)
             if transposed:
-                k = _transpose_b_pairs(k, obs_set.on_b)
+                _transpose_b_pairs(k, obs_set.on_b)
             yield mu * p + (1.0 - mu) * tau, k
 
     return moments()
@@ -424,7 +439,10 @@ class CorrelationData:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         object.__setattr__(self, "partition", tuple(str(x) for x in self.partition))
-        object.__setattr__(self, "pt_parity", tuple(self.pt_parity))
+        # a numpy scalar becomes its Python scalar, so to_dict writes JSON:
+        # an int64 parity exports as an int, a numpy bool as a bool
+        object.__setattr__(self, "pt_parity", tuple(
+            s.item() if isinstance(s, np.generic) else s for s in self.pt_parity))
         object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))

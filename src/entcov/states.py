@@ -277,11 +277,14 @@ def szsz_evolve_blocks(state: PureState, ts):
     norm is preserved exactly.  The product (M-2j)(M-2k) takes far fewer
     distinct values than D (85 for D = 441 at M = 20); their table and the
     index of each entry into it are formed once per call, and the times are
-    checked before the first block.  In a block, exp is evaluated once per
-    distinct product and t, with the arguments i t (M-2j)(M-2k) formed as for
-    one entry at a time; the table is gathered into one (n, D) array, which
-    is multiplied by the start amplitudes in place and checked once, as a
-    PureStateStack.  Every row is computed alone, so the blocks do not change
+    checked before the first block.  The distinct products are symmetric
+    about 0, so in a block exp is evaluated once per nonnegative product and
+    t, with the arguments i t (M-2j)(M-2k) formed as for one entry at a
+    time, and each negative product's phase is the conjugate of its
+    mirror's, the same bits as its own exp.  The table is gathered into one
+    (n, D) array, which is multiplied by the start amplitudes in place and
+    checked once, as a PureStateStack; the table is freed before the block
+    is handed on.  Every row is computed alone, so the blocks do not change
     a bit of it.
     """
     if state.dim_a != state.dim_b:
@@ -289,6 +292,8 @@ def szsz_evolve_blocks(state: PureState, ts):
     m = state.dim_a - 1
     sz = (m - 2 * np.arange(m + 1)).astype(float)
     products, index = np.unique(np.outer(sz, sz).ravel(), return_inverse=True)
+    # products[i] = -products[-1 - i]; the first `negative` are below 0
+    negative = int(np.searchsorted(products, 0.0))
     ts = np.asarray(ts, dtype=float).ravel()
     if not ts.size:
         raise ValueError("the evolution needs at least one time")
@@ -299,7 +304,11 @@ def szsz_evolve_blocks(state: PureState, ts):
     def blocks():
         for start in range(0, len(ts), rows):
             args = np.array([1j * t for t in ts[start:start + rows]], dtype=complex)[:, None]
-            amps = np.take(np.exp(args * products), index, axis=1)
+            table = np.empty((len(args), len(products)), dtype=complex)
+            np.exp(args * products[negative:], out=table[:, negative:])
+            np.conjugate(table[:, len(products) - negative:][:, ::-1], out=table[:, :negative])
+            amps = np.take(table, index, axis=1)
+            del args, table  # not held while the consumer reduces the block
             np.multiply(state.amplitudes, amps, out=amps)
             yield PureStateStack(state.dim_a, state.dim_b, amps)
 

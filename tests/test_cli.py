@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entcov.cli import build_parser, main
+from entcov.cli import _flip_midpoints, _write_csv, build_parser, main
 from entcov.criterion import (CriterionGrid, correlation_data_from_state, criterion_matrix,
                               detect)
 from entcov.observables import (collective_spin_set, hp_quadrature_block, hp_quadrature_set,
@@ -750,3 +750,44 @@ class TestParserReuse:
         assert self.sweep(after, "--rotate", *ROTATE_45Z) == 0
         # the same bytes but for the out path in the config line
         assert after.read_text() == fresh.read_text().replace(str(fresh), str(after))
+
+
+# values no sweep reaches: signed zero, the smallest subnormal and normal,
+# the largest finite float, one, the infinities and nan
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1.0,
+               np.inf, -np.inf, np.nan]
+
+
+class TestWriteCsv:
+    """Every numeric cell has the bytes of format(x, ".17g"), verdicts are
+    written as they are."""
+
+    def write(self, tmp_path, columns):
+        out = tmp_path / "t.csv"
+        _write_csv(out, {"experiment": "TEST"}, [], columns)
+        return read_rows(out)
+
+    def test_one_row(self, tmp_path):
+        columns = {f"x{i}": [x] for i, x in enumerate(EDGE_FLOATS)}
+        header, rows = self.write(tmp_path, columns)
+        assert header == list(columns)
+        assert rows == [{name: format(x, ".17g") for name, x in zip(header, EDGE_FLOATS)}]
+
+    def test_many_rows_with_verdicts(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = np.resize(EDGE_FLOATS, 200)
+        y = rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200)
+        verdict = np.where(rng.random(200) < 0.5, "ENTANGLED", "UNDETECTED")
+        header, rows = self.write(tmp_path, {"x": x, "verdict": verdict, "y": y})
+        assert header == ["x", "verdict", "y"]
+        assert rows == [{"x": format(a, ".17g"), "verdict": v, "y": format(b, ".17g")}
+                        for a, v, b in zip(x.tolist(), verdict.tolist(), y.tolist())]
+
+
+def test_flip_midpoints_equal_cell_by_cell_scan():
+    rng = np.random.default_rng(5)
+    for n in [1, 2, 3, 31, 200]:
+        xs = np.sort(rng.normal(size=n))
+        for flags in (rng.random(n) < 0.5, np.zeros(n, bool), np.arange(n) >= n // 2):
+            scan = [0.5 * (xs[i - 1] + xs[i]) for i in range(1, n) if flags[i] != flags[i - 1]]
+            assert np.array(_flip_midpoints(xs, flags)).tobytes() == np.array(scan).tobytes()

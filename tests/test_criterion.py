@@ -517,12 +517,13 @@ def test_grid_route_matches_dense_route(seed, dims, n_a, n_b, n_psi, mus):
 
 
 def test_grid_chunks_change_no_bit():
-    # M = 20 holds a few psi per chunk; cells on both sides of each chunk
-    # boundary must equal the single-state calls bit for bit
+    # M = 20 holds three psi per chunk, by the kernel's accounting of v and
+    # its one temporary, 2 N D 16 bytes per psi; cells on both sides of each
+    # chunk boundary must equal the single-state calls bit for bit
     spin = collective_spin_set(20)
-    per_psi = (2 * len(spin) + 1) * spin.dim_a * spin.dim_b * 16
+    per_psi = 2 * len(spin) * spin.dim_a * spin.dim_b * 16
     chunk = GRID_CHUNK_BYTES // per_psi
-    assert chunk >= 1
+    assert chunk == 3
     ts = np.linspace(0.0, 0.3, 2 * chunk + 1)
     psis = [spin_ensemble_state(20, t) for t in ts]
     mus = [0.3, 1.0]
@@ -565,6 +566,21 @@ class TestDiagonalFactors:
                         if _diagonal_scaling(o.matrix, on_b) is not None]
             assert diagonal == sz_members
             self.assert_gram_equals_matmul_route(psis, obs_set)
+
+    def test_zero_phase_rows_equal_matmul_route_in_value(self):
+        # at t = 0 the amplitudes are real, so G_c has exact zeros whose
+        # sign depends on how p psi^T is formed: the values must agree, and
+        # every bit of the nonzero entries
+        spin = collective_spin_set(20)
+        c = spin_coherent_x(20)
+        psis, = szsz_evolve_blocks(product_state(c, c), [0.0, -0.0, 0.05, 0.0])
+        factors = [o.matrix for o in spin]
+        p, g_c = _centered_gram(psis, spin, _gram_factors(spin, False))
+        p_ref, g_ref = oracles.centered_gram_matmul(psis.matrices(), factors, spin.on_b)
+        assert p.tobytes() == p_ref.tobytes()
+        assert np.array_equal(g_c, g_ref)
+        nonzero = g_ref.view(float) != 0
+        assert g_c.view(float)[nonzero].tobytes() == g_ref.view(float)[nonzero].tobytes()
 
     def test_random_local_set_equals_matmul_route(self, rng):
         da, db = 2, 3
@@ -1010,6 +1026,25 @@ class TestCorrelationDataPath:
         payload["pt_parity"][4] = entry
         with pytest.raises(DataValidationError, match="pt_parity entry"):
             CorrelationData.from_dict(payload).validate()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8])
+    def test_numpy_integer_parity_round_trips_through_json(self, dtype):
+        _, _, data = self.build_data()
+        record = replace(data, pt_parity=np.array(data.pt_parity, dtype=dtype))
+        exported = record.validate().to_dict()
+        assert [type(s) for s in exported["pt_parity"]] == [int] * data.n
+        restored = CorrelationData.from_dict(json.loads(json.dumps(exported))).validate()
+        assert restored.pt_parity == data.pt_parity
+        assert np.array_equal(criterion_matrix_from_data(restored),
+                              criterion_matrix_from_data(data))
+
+    @pytest.mark.parametrize("entry", [True, pytest.param(np.bool_(True), id="numpy-bool")])
+    def test_bool_parity_rejected_when_built_directly(self, entry):
+        _, _, data = self.build_data()
+        parities = list(data.pt_parity)
+        parities[4] = entry
+        with pytest.raises(DataValidationError, match="pt_parity entry True"):
+            replace(data, pt_parity=parities).validate()
 
     def test_float_unit_parity_accepted(self):
         _, _, data = self.build_data()
