@@ -12,14 +12,19 @@ columns whose name contains "eig"); a determinant column is measured
 relative to its own cell instead, a product of eigenvalues having another
 scale, and so is every column of a file without eigenvalue columns.  For
 each text file (the uncertainty-suite report) it lists every line that
-differs.  Exits 1 if a file is missing from one side, a CSV config line
-differs in anything but `out`, a CSV verdict, flip comment, header or row
-count differs, a numeric column other than a determinant moves by more
-than REL_TOL (1e-12) of its scale, or a text file's line count or a line's
-[PASS]/[FAIL] tag differs; 0 otherwise.  A determinant may move further:
-one built from analytically zero eigenvalues is rounding noise.  Uses
-numpy and the standard library only, so it reads outputs of any version
-of the package.
+differs.  For each JSON correlation record it reports whether the bytes
+are identical and how far the means, V and Omega entries move relative to
+the record scale max(max|V|, max|Omega|) of the two records.  Exits 1 if
+a file is missing from one side, a CSV config line differs in anything
+but `out`, a CSV verdict, flip comment, header or row count differs, a
+numeric column other than a determinant moves by more than REL_TOL
+(1e-12) of its scale, a text file's line count or a line's [PASS]/[FAIL]
+tag differs, or a record's labels, partition or pt_parity differ, a
+field is missing or changes shape, or an entry of its means, V or Omega
+moves by more than REL_TOL of the record scale; 0 otherwise.  A
+determinant may move further: one built from analytically zero
+eigenvalues is rounding noise.  Uses numpy and the standard library only,
+so it reads outputs of any version of the package.
 """
 
 from __future__ import annotations
@@ -128,13 +133,52 @@ def compare_text(old: Path, new: Path) -> bool:
     return tags_same
 
 
+RECORD_TAGS = ("labels", "partition", "pt_parity")
+RECORD_ARRAYS = ("means", "V", "Omega")
+
+
+def compare_record(old: Path, new: Path) -> bool:
+    """Report one correlation-record pair; True when the tags agree and no
+    entry moves by more than REL_TOL of the record scale."""
+    bytes_a, bytes_b = old.read_bytes(), new.read_bytes()
+    print(f"  bytes identical: {bytes_a == bytes_b}")
+    rec_a, rec_b = json.loads(bytes_a), json.loads(bytes_b)
+    missing = [k for k in RECORD_TAGS + RECORD_ARRAYS if k not in rec_a or k not in rec_b]
+    if missing:
+        print(f"  fields missing: {', '.join(missing)}")
+        return False
+    tags_same = all(rec_a[k] == rec_b[k] for k in RECORD_TAGS)
+    print(f"  labels, partition and pt_parity identical: {tags_same}")
+    arrays = {k: (np.array(rec_a[k], dtype=float), np.array(rec_b[k], dtype=float))
+              for k in RECORD_ARRAYS}
+    if any(a.shape != b.shape for a, b in arrays.values()):
+        print("  means, V or Omega changes shape")
+        return False
+    scale = max(np.abs(x).max(initial=0.0) for k in ("V", "Omega") for x in arrays[k])
+    values_close = True
+    for name, (a, b) in arrays.items():
+        diff = np.abs(a - b)
+        if not np.any(diff):
+            continue
+        line = (f"  {name}: max |diff| {diff.max():.3g} in {np.count_nonzero(diff)} entries, "
+                f"relative to the record scale {diff.max() / scale if scale else np.inf:.3g}")
+        if not diff.max() <= REL_TOL * scale:
+            line += f"  <- beyond {REL_TOL:g}"
+            values_close = False
+        print(line)
+    return tags_same and values_close
+
+
+COMPARERS = {".csv": compare, ".txt": compare_text, ".json": compare_record}
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
-    names = sorted({p.name for d in (old_dir, new_dir) for pattern in ("*.csv", "*.txt")
-                    for p in d.glob(pattern)})
+    names = sorted({p.name for d in (old_dir, new_dir) for suffix in COMPARERS
+                    for p in d.glob(f"*{suffix}")})
     ok = bool(names)
     for name in names:
         print(name)
@@ -143,7 +187,7 @@ def main(argv) -> int:
             print(f"  missing from {old_dir if not old.is_file() else new_dir}")
             ok = False
             continue
-        ok &= compare(old, new) if old.suffix == ".csv" else compare_text(old, new)
+        ok &= COMPARERS[old.suffix](old, new)
     print("OK" if ok else "DIFFERENT")
     return 0 if ok else 1
 

@@ -2,20 +2,17 @@
 criterion matrix, and verdict reporting.
 
 V and Omega are the centered second moments of xi_j xi_k, the criterion
-matrix those of PT_B(xi_j xi_k), and one route choice (_centered_moments)
-serves both.  A local ObservableSet on pure states and Werner mixtures takes
-the amplitude route, O(N dim^3) per psi with no D x D array: the local
-factors act on the amplitude matrix, B factors transposed for the moments
-and B-B pairs read transposed for the criterion (_transpose_b_pairs, the one
-transpose rule).  Its one engine is CriterionGrid, which takes the pure
-states psi in blocks and then a vector of mixing weights mu: it forms p and
-the centered Gram matrix G_c once per psi, stacking the psis in chunks whose
-working set stays within GRID_CHUNK_BYTES, and then every mu's moments from
-the gathered G_c; a factor with a real diagonal and exactly zero
-off-diagonal entries, such as S^z, scales Psi's rows or columns instead of
-multiplying it, to the same bits.  One PureState or WernerState is one
-block of one psi and one mu of it, and its moments of xi_j xi_k come from
-the same engine with the B factors transposed (_MomentGrid).
+matrix those of PT_B(xi_j xi_k).  A local ObservableSet on pure states and
+Werner mixtures takes the amplitude route, O(N dim^3) per psi with no D x D
+array, whose one engine is CriterionGrid: its stored factors act on the
+amplitude matrix Psi as a Psi and Psi b, the amplitudes of PT_B(I (x) b) psi,
+so the grid of a set S holds the centered moments of S's partially
+transposed members, S.pt_set.  The criterion of S is the transpose rule
+(_transpose_b_pairs) applied to the grid of S, and the moments of S, PT_B
+being an involution, are the grid of S.pt_set.  The grid forms p and the
+centered Gram matrix G_c once per psi, in chunks within GRID_CHUNK_BYTES,
+then every mu's moments; one PureState or WernerState is one psi and one
+mu of a grid.
 Otherwise one tracer (_trace_table) reads the set's cached pt_tables
 against the state for the criterion, and against PT_B(rho) for the
 moments, as Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list, whose
@@ -35,7 +32,8 @@ them: scalars for one matrix, arrays with one entry per member for a stack.
 
 criterion_matrix_from_data rebuilds the criterion matrix from measured
 correlations of local operators with definite transpose parity: the
-parities sign V and Omega, and the same transpose rule orders B-B pairs.
+parities sign V and Omega into the moments of the PT_B members, and the
+transpose rule then gives the criterion, as on the grid.
 correlation_data_from_state exports each member's derived pt_parity, and
 a record's parities are held to is_unit_parity.  A record is rejected
 unless some quantum state could produce it: V symmetric, Omega
@@ -121,9 +119,9 @@ def _trace_table(table, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _centered_moments(rho, observables, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Means and centered second moments of xi_j xi_k, or of PT_B(xi_j xi_k)
-    when transposed, by the amplitude route as one psi and one mu of a
-    _MomentGrid or CriterionGrid, or else by _trace_table.  A raw operator
-    list has no B side to transpose."""
+    when transposed: on the amplitude route one psi and one mu of the grid
+    of the set's pt_set, or of the set with the transpose rule; otherwise
+    _trace_table.  A raw operator list has no B side to transpose."""
     if not isinstance(observables, ObservableSet):
         if transposed:
             raise TypeError("the criterion matrix needs an ObservableSet")
@@ -132,10 +130,10 @@ def _centered_moments(rho, observables, transposed: bool) -> tuple[np.ndarray, n
     if isinstance(rho, (PureState, WernerState)) and observables.is_local:
         if isinstance(rho, PureState):
             rho = WernerState(rho, 1.0)
-        grid = CriterionGrid(observables) if transposed else _MomentGrid(observables)
+        grid = CriterionGrid(observables if transposed else observables.pt_set)
         grid.add([rho.psi])
         means, k = next(grid._moments([rho.mu]))
-        return means[0], k[0]
+        return means[0], _transpose_b_pairs(k[0], observables.on_b) if transposed else k[0]
     da, db = observables.dim_a, observables.dim_b
     require_bipartition(rho, da, db)
     r = as_matrix(rho)
@@ -156,7 +154,7 @@ def _covariance_parts(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _moments(rho, observables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Means, covariance V and commutation Omega from the centered moments of
-    xi_j xi_k, which the dense route reads from pt_tables against PT_B(rho)."""
+    xi_j xi_k: the grid of the set's pt_set, or pt_tables against PT_B(rho)."""
     means, centered = _centered_moments(rho, observables, transposed=False)
     return (means, *_covariance_parts(centered))
 
@@ -196,13 +194,12 @@ def _diagonal_scaling(f: np.ndarray, on_b: bool) -> np.ndarray | None:
     return np.repeat(d.real, 2) if on_b else d.real[:, None]
 
 
-def _gram_factors(obs_set, transpose_b: bool) -> list[tuple[np.ndarray, np.ndarray | None, bool]]:
-    """For each member of a local set, its factor f (b^T on B with
-    transpose_b, else b or a), the _diagonal_scaling of f and whether it
-    acts on B: the per-set setup of _centered_gram, formed once per grid."""
-    factors = [o.matrix.T if on_b and transpose_b else o.matrix
-               for o, on_b in zip(obs_set, obs_set.on_b)]
-    return [(f, _diagonal_scaling(f, on_b), on_b) for f, on_b in zip(factors, obs_set.on_b)]
+def _gram_factors(obs_set) -> list[tuple[np.ndarray, np.ndarray | None, bool]]:
+    """For each member of a local set, its stored factor f, the
+    _diagonal_scaling of f and whether it acts on B: the per-set setup of
+    _centered_gram, formed once per grid."""
+    return [(o.matrix, _diagonal_scaling(o.matrix, on_b), on_b)
+            for o, on_b in zip(obs_set, obs_set.on_b)]
 
 
 def _centered_gram(psis, obs_set, factors) -> tuple[np.ndarray, np.ndarray]:
@@ -265,16 +262,15 @@ def _centered_gram(psis, obs_set, factors) -> tuple[np.ndarray, np.ndarray]:
     return p, g_c
 
 
-def _mu_moments(p, g_c, mus, obs_set, transposed: bool):
+def _mu_moments(p, g_c, mus, obs_set):
     """For each mu of mus in turn, the means m = mu p + (1-mu) tau and
     centered second moments K = E - m m^T of mu |psi><psi| + (1-mu) I/D over
     a local set, for every psi whose p and G_c (_centered_gram) are given,
     shapes (n_psi, N) and (n_psi, N, N), formed as
     K = mu G_c + (1-mu) T_c + mu (1-mu) (p - tau)(p - tau)^T.
 
-    Without transposed these are the moments of xi_j xi_k, from p and G_c
-    of the B factors transposed; with it those of PT_B(xi_j xi_k), B-B pairs
-    read transposed.  tau and T_c are the set's mixed_moments.  No means of
+    Over the stored factors these are the moments of the members of
+    obs_set.pt_set.  tau and T_c are the set's mixed_moments.  No means of
     order M are subtracted from second moments of order M^2, a cancellation
     that at a few hundred spins per side would lift rounding above the
     verdict tolerance.  One mu at a time, because a product broadcast over
@@ -295,8 +291,6 @@ def _mu_moments(p, g_c, mus, obs_set, transposed: bool):
             np.multiply(mu, g_c, out=k)
             k += (1.0 - mu) * t_c
             k += np.multiply(mu * (1.0 - mu), outer, out=scaled)
-            if transposed:
-                _transpose_b_pairs(k, obs_set.on_b)
             yield mu * p + (1.0 - mu) * tau, k
 
     return moments()
@@ -317,21 +311,17 @@ class CriterionGrid:
     """Criterion matrices of mu |psi><psi| + (1-mu) I/D over a local set for
     psis that come in blocks, so that a sweep holds one block of amplitudes
     at a time.  The set's factors and diagonal scalings (_gram_factors) are
-    formed once, at construction, and serve every block; add() reduces a
-    block at once to each psi's p and G_c (_centered_gram), and matrices()
-    applies the mu map, the transpose rule and hermitize once, to the
-    gathered arrays.  Each psi is reduced alone, so the blocks do not change
-    a bit of the result, and criterion_matrix of one PureState or
-    WernerState is one add and one mu of a grid."""
-
-    # the moments of PT_B(xi_j xi_k); _MomentGrid's are those of xi_j xi_k
-    _transposed = True
+    formed once and serve every block; add() reduces a block to each psi's
+    p and G_c (_centered_gram), whose moments (_moments) are those of the
+    set's pt_set, and matrices() applies the transpose rule and hermitize
+    to them.  Each psi is reduced alone, so the blocks do not change a bit
+    of the result."""
 
     def __init__(self, obs_set: ObservableSet):
         if not obs_set.is_local:
             raise ValueError("the grid route needs observables tagged 'A' or 'B'")
         self.obs_set = obs_set
-        self._factors = _gram_factors(obs_set, transpose_b=not self._transposed)
+        self._factors = _gram_factors(obs_set)
         self._blocks = []
 
     def add(self, psis):
@@ -344,7 +334,7 @@ class CriterionGrid:
         if not self._blocks:
             raise ValueError("a grid needs at least one state")
         p, g_c = (np.concatenate(parts) for parts in zip(*self._blocks))
-        return _mu_moments(p, g_c, mus, self.obs_set, self._transposed)
+        return _mu_moments(p, g_c, mus, self.obs_set)
 
     def matrices(self, mus) -> np.ndarray:
         """The matrices of every mu of mus and psi added so far, in the order
@@ -353,21 +343,17 @@ class CriterionGrid:
         n_psi, n = sum(len(p) for p, _ in self._blocks), len(self.obs_set)
         out = np.empty((len(mus), n_psi, n, n), dtype=complex)
         for out_mu, (_, k) in zip(out, rows):
-            out_mu[...] = hermitize(k)
+            out_mu[...] = hermitize(_transpose_b_pairs(k, self.obs_set.on_b))
         return out
-
-
-class _MomentGrid(CriterionGrid):
-    """CriterionGrid's engine for the moments of xi_j xi_k themselves: the B
-    factors transposed and no transpose rule."""
-
-    _transposed = False
 
 
 class CriterionEvaluator:
     """criterion_matrix over one observable set, which is all it holds.  The
-    sweeps call criterion_matrix and CriterionGrid directly; only the
-    benchmark's set-up (bench/workloads.py) still builds one."""
+    sweeps call criterion_matrix and CriterionGrid directly.  The benchmark
+    builds one in its set-up (bench/workloads.py) and in its grounding
+    timings (bench/grounding.py), and its tracer wraps both methods; the
+    acceptance and criterion tests build one too.  It stays until the
+    benchmark builds what the CLI builds."""
 
     def __init__(self, obs_set: ObservableSet):
         self.obs_set = obs_set
@@ -534,6 +520,8 @@ class CorrelationData:
 def correlation_data_from_state(rho, obs_set: ObservableSet) -> CorrelationData:
     """Simulate the measurement record an experiment would supply, with each
     member's derived pt_parity; a member with none is rejected by name."""
+    if not isinstance(obs_set, ObservableSet):
+        raise TypeError("correlation data needs an ObservableSet")
     for o in obs_set:
         if o.support not in (SUPPORT_A, SUPPORT_B) or o.pt_parity is None:
             raise DataValidationError(
@@ -556,10 +544,10 @@ def criterion_matrix_from_data(data: CorrelationData) -> np.ndarray:
 
     For locally supported operators with transpose parity s_j, PT_B maps a
     B-side operator to s_j times itself and leaves an A-side one alone (its
-    parity tag is not read), so the sign map gives
-    K = s s^T (V + (i/2) Omega) with Omega zeroed across the partition.
-    The transpose rule then reads each B-B pair transposed, as
-    PT_B(xi_j xi_k) = s_j s_k xi_k xi_j.  Parity signs on the means cancel
+    parity tag is not read), so the sign map gives the record's moments of
+    the PT_B members, K = s s^T (V + (i/2) Omega) with Omega zeroed across
+    the partition.  The transpose rule and hermitize then give C, as on
+    the grid of the set.  Parity signs on the means cancel
     inside the covariance, so the means never enter explicitly.
     """
     data.validate()

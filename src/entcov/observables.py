@@ -153,6 +153,17 @@ class ObservableSet:
         return np.array([o.support == SUPPORT_B for o in self.observables])
 
     @cached_property
+    def pt_set(self) -> "ObservableSet":
+        """The members PT_B(xi_j) under their labels: each A member as it is,
+        each B factor b as the view b^T.  A JOINT member is refused by name."""
+        for o in self:
+            if o.support == SUPPORT_JOINT:
+                raise ValueError(f"observable {o.label!r} is JOINT; pt_set needs "
+                                 "members tagged 'A' or 'B'")
+        return ObservableSet(tuple(Observable(o.label, o.matrix.T, o.support) if on_b else o
+                                   for o, on_b in zip(self, self.on_b)), self.dim_a, self.dim_b)
+
+    @cached_property
     def mixed_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """tau_j = Tr(xi_j)/D and T_c = T - tau tau^T, T[j,k] = Tr(xi_j xi_k)/D:
         the maximally mixed means and centered moments of a local set."""

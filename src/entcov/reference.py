@@ -169,8 +169,9 @@ def decomposable_split(
     eigenvalue clips.  Returns (feasible, residual, P) where the residual is
     the largest remaining negative-part norm of P and (w - P)^(T_A).
     Non-convergence within SPLIT_MAX_ITER rounds, or a residual above
-    SPLIT_TOL, reports infeasible.  A w that is not one finite square matrix
-    of dimension dim_a * dim_b is rejected before any eigensolve.
+    SPLIT_TOL, reports infeasible.  A w or a start that is not one finite
+    square matrix of dimension dim_a * dim_b is rejected, start by name,
+    before any eigensolve.
     """
     if dim_a != dim_b:
         raise ValueError("decomposable_split expects equal subsystem dimensions")
@@ -178,6 +179,13 @@ def decomposable_split(
     w = require_square(w)
     if w.shape[0] != d * d:
         raise ValueError(f"matrix dimension {w.shape[0]} != dim_a*dim_b = {d * d}")
+    if start is not None:
+        try:
+            start = require_square(start)
+        except ValueError as exc:
+            raise ValueError(f"start: {exc}") from None
+        if start.shape != w.shape:
+            raise ValueError(f"start has shape {start.shape}, expected {w.shape}")
     w = hermitize(w)
     neg_w = _negative_part_norm(w)
     if neg_w <= SPLIT_TOL:
@@ -185,7 +193,7 @@ def decomposable_split(
     neg_wta = _negative_part_norm(transpose_factor(w, d, d, "A"))
     if neg_wta <= SPLIT_TOL:
         return True, neg_wta, np.zeros_like(w)
-    p = hermitize(np.asarray(start, dtype=complex)) if start is not None else w.copy()
+    p = hermitize(start) if start is not None else w.copy()
     converged = False
     for _ in range(SPLIT_MAX_ITER):
         evals, evecs = np.linalg.eigh(p)

@@ -203,7 +203,11 @@ def as_state_stack(psis) -> "PureStateStack":
 
 def as_matrix(state) -> np.ndarray:
     """Dense matrix of a DensityMatrix, PureState, WernerState, or raw square
-    array, which is held to DensityMatrix's rules (_require_density_rules)."""
+    array, which is held to DensityMatrix's rules (_require_density_rules).
+    A PureStateStack is refused by name: it is a grid of states."""
+    if isinstance(state, PureStateStack):
+        raise TypeError("a PureStateStack is a grid of states, not one state: "
+                        "it goes to CriterionGrid or PptGrid")
     if isinstance(state, DensityMatrix):
         return state.matrix
     if isinstance(state, WernerState):

@@ -22,9 +22,9 @@ from entcov.criterion import (
     detect,
     uncertainty_matrix,
 )
-from entcov.criterion import (_centered_gram, _covariance_parts, _diagonal_scaling,
-                              _gram_factors, _moments, _MomentGrid)
-from entcov.linalg import HermiticityError, partial_transpose
+from entcov.criterion import (_centered_gram, _centered_moments, _covariance_parts,
+                              _diagonal_scaling, _gram_factors, _moments, _transpose_b_pairs)
+from entcov.linalg import HermiticityError, hermitize, partial_transpose
 from entcov.observables import (
     Observable,
     ObservableSet,
@@ -448,6 +448,42 @@ def test_dense_moments_match_entrywise_oracle(seed, dims, n_a, n_b, n_joint, ran
     assert np.abs(omega - expected_omega).max() <= tol
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 3), (3, 2)]),
+    n_a=st.integers(0, 3),
+    n_b=st.integers(0, 3),
+    definite=st.booleans(),
+    rank=st.integers(1, 6),
+)
+def test_criterion_is_transpose_rule_on_pt_set_moments(seed, dims, n_a, n_b, definite, rank):
+    # the paper's identity on mixed states: the criterion matrix of a set is
+    # the transpose rule applied to the moments of its members PT_B(xi_j),
+    # here from the dense route on pt_set, which reads pt_set's own tables
+    assume(n_a + n_b >= 1)
+    rng = np.random.default_rng(seed)
+    da, db = dims
+    if definite:
+        obs_set = _definite_parity_set(rng, da, db, n_a, n_b)
+    else:
+        members = (
+            [Observable(f"a{i}", oracles.random_hermitian(rng, da), "A") for i in range(n_a)]
+            + [Observable(f"b{i}", oracles.random_hermitian(rng, db), "B") for i in range(n_b)]
+        )
+        obs_set = ObservableSet(tuple(members[i] for i in rng.permutation(len(members))), da, db)
+    rho = DensityMatrix(da, db, oracles.random_density(rng, da * db, rank))
+    c = criterion_matrix(rho, obs_set)
+    k = _centered_moments(rho, obs_set.pt_set, transposed=False)[1]
+    expected = hermitize(_transpose_b_pairs(k, obs_set.on_b))
+    assert np.abs(c - expected).max() <= 1e-12 * max(1.0, np.linalg.norm(c, 2))
+    # PT_B is an involution, bit for bit, and keeps each member's parity
+    for o, back, pt in zip(obs_set, obs_set.pt_set.pt_set, obs_set.pt_set):
+        assert (back.label, back.support) == (o.label, o.support)
+        assert back.matrix.tobytes() == o.matrix.tobytes()
+        assert pt.pt_parity == o.pt_parity
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -500,7 +536,9 @@ def test_grid_route_matches_dense_route(seed, dims, n_a, n_b, n_psi, mus):
     obs_set = ObservableSet(tuple(members[i] for i in order), da, db)
     psis = [PureState(da, db, oracles.random_pure(rng, da * db)) for _ in range(n_psi)]
     grid = grid_matrices(psis, mus, obs_set)
-    moment_grid = _MomentGrid(obs_set)
+    # the grid of a set holds the moments of its pt_set, so the moments of
+    # the set are the grid of its pt_set
+    moment_grid = CriterionGrid(obs_set.pt_set)
     moment_grid.add(psis)
     moments = [_covariance_parts(k) for _, k in moment_grid._moments(mus)]
     assert grid.shape == (len(mus), n_psi, len(obs_set), len(obs_set))
@@ -542,11 +580,12 @@ class TestDiagonalFactors:
 
     @staticmethod
     def assert_gram_equals_matmul_route(psis, obs_set):
-        for transpose_b in (False, True):
-            factors = [o.matrix.T if on_b and transpose_b else o.matrix
-                       for o, on_b in zip(obs_set, obs_set.on_b)]
-            p, g_c = _centered_gram(psis, obs_set, _gram_factors(obs_set, transpose_b))
-            p_ref, g_ref = oracles.centered_gram_matmul(psis.matrices(), factors, obs_set.on_b)
+        # the set's grid, which the criterion reads, and its pt_set's, which
+        # the moments read
+        for s in (obs_set, obs_set.pt_set):
+            factors = [o.matrix for o in s]
+            p, g_c = _centered_gram(psis, s, _gram_factors(s))
+            p_ref, g_ref = oracles.centered_gram_matmul(psis.matrices(), factors, s.on_b)
             assert p.tobytes() == p_ref.tobytes()
             assert g_c.tobytes() == g_ref.tobytes()
 
@@ -575,7 +614,7 @@ class TestDiagonalFactors:
         c = spin_coherent_x(20)
         psis, = szsz_evolve_blocks(product_state(c, c), [0.0, -0.0, 0.05, 0.0])
         factors = [o.matrix for o in spin]
-        p, g_c = _centered_gram(psis, spin, _gram_factors(spin, False))
+        p, g_c = _centered_gram(psis, spin, _gram_factors(spin))
         p_ref, g_ref = oracles.centered_gram_matmul(psis.matrices(), factors, spin.on_b)
         assert p.tobytes() == p_ref.tobytes()
         assert np.array_equal(g_c, g_ref)
@@ -1102,6 +1141,13 @@ def test_zero_record_checked_exactly():
     assert CorrelationData(**{**VALID_RECORD, "v": np.zeros((2, 2))}).validate()
     with pytest.raises(DataValidationError, match="not symmetric"):
         CorrelationData(**{**VALID_RECORD, "v": [[0.0, 1e-300], [0.0, 0.0]]}).validate()
+
+
+def test_raw_operator_list_export_rejected_by_name():
+    # it failed with "'numpy.ndarray' object has no attribute 'support'"
+    for rho in (np.eye(4) / 4, bell_state()):
+        with pytest.raises(TypeError, match="correlation data needs an ObservableSet"):
+            correlation_data_from_state(rho, [np.eye(4)])
 
 
 def test_empty_raw_operator_list_rejected():

@@ -44,6 +44,15 @@ class TestPauliProductSet:
         pt = partial_transpose(yy.matrix, 2, 2, "B")
         assert np.allclose(pt, -yy.matrix)
 
+    def test_pt_set_refuses_a_joint_member_by_name(self):
+        with pytest.raises(ValueError, match="observable 'XX' is JOINT; pt_set needs members "
+                                             "tagged 'A' or 'B'"):
+            pauli_product_set().pt_set
+        # a JOINT member after local ones is named too
+        mixed = ObservableSet((collective_spin_set(1)[0], pauli_product_set()[2]), 2, 2)
+        with pytest.raises(ValueError, match="observable 'ZZ' is JOINT"):
+            mixed.pt_set
+
     def test_members_mutually_commute(self):
         mats = pauli_product_set().matrices()
         for i in range(3):
@@ -68,6 +77,20 @@ class TestCollectiveSpinSet:
         obs_set = collective_spin_set(3)
         sx_a, sy_a, sz_a = (obs_set[i].matrix for i in range(3))
         assert np.allclose(commutator(sx_a, sy_a), 2j * sz_a, atol=1e-12)
+
+    def test_pt_set_transposes_b_factors_only(self):
+        obs_set = collective_spin_set(3)
+        pt = obs_set.pt_set
+        assert pt is obs_set.pt_set
+        assert pt.labels == obs_set.labels
+        assert all(pt[i] is obs_set[i] for i in range(3))
+        for o, t in zip(obs_set[3:], pt[3:]):
+            # the view b^T: PT_B(I (x) b) = I (x) b^T
+            assert np.shares_memory(t.matrix, o.matrix)
+            assert np.array_equal(t.matrix, o.matrix.T)
+            assert t.matrix.T.tobytes() == o.matrix.tobytes()
+        # S^y_B has parity -1, so its transpose is -S^y_B
+        assert np.array_equal(pt[4].matrix, -obs_set[4].matrix)
 
     def test_pt_parity_of_sy_b(self):
         obs_set = collective_spin_set(3)

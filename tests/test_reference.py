@@ -330,3 +330,20 @@ def test_decomposable_split_rejects_malformed_witness(monkeypatch, w, message):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     with pytest.raises(ValueError, match=message):
         decomposable_split(w, 2, 2)
+
+
+@pytest.mark.parametrize("start, message", [
+    (np.eye(3), r"start has shape \(3, 3\), expected \(4, 4\)"),
+    (np.full((4, 4), np.nan), "start: matrix contains NaN or Inf entries"),
+    (np.stack([np.eye(4) / 4] * 4), r"start: expected a square matrix, got shape \(4, 4, 4\)"),
+], ids=["3x3", "nan", "stack"])
+def test_decomposable_split_rejects_malformed_start(monkeypatch, start, message):
+    # held to w's rule and named, before any eigensolve: these failed as a
+    # broadcast error, an eigensolver that did not converge and a reshape
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve reached before the start was checked")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    with pytest.raises(ValueError, match=message):
+        decomposable_split(-np.eye(4), 2, 2, start=start)

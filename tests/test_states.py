@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from entcov.criterion import covariance_commutation, criterion_matrix, uncertainty_matrix
 from entcov.linalg import partial_transpose
-from entcov.observables import PAULI_X, PAULI_Z, collective_spin_matrices
+from entcov.observables import PAULI_X, PAULI_Z, collective_spin_matrices, collective_spin_set
+from entcov.reference import AnnealParams, witness_optimize
 from entcov.states import (
     GRID_CHUNK_BYTES,
     DensityMatrix,
@@ -118,6 +120,21 @@ class TestRawStateRules:
         rho = oracles.random_density(rng, 4)
         assert as_matrix(rho).tobytes() == rho.astype(complex).tobytes()
         assert variance(np.eye(2) / 2, PAULI_Z) == pytest.approx(1.0)
+
+
+def test_state_stack_rejected_as_one_state():
+    # it failed inside as_matrix with "must be real number, not PureState"
+    stack = PureStateStack(3, 3, [spin_ensemble_state(2, t).amplitudes for t in (0.1, 0.2)])
+    spin = collective_spin_set(2)
+    calls = (lambda: as_matrix(stack),
+             lambda: criterion_matrix(stack, spin),
+             lambda: covariance_commutation(stack, spin),
+             lambda: uncertainty_matrix(stack, spin),
+             lambda: witness_optimize(stack, 2, AnnealParams(sweeps=1)))
+    for call in calls:
+        with pytest.raises(TypeError, match="a PureStateStack is a grid of states, not one "
+                                            "state: it goes to CriterionGrid or PptGrid"):
+            call()
 
 
 class TestBellState:
