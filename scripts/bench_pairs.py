@@ -9,8 +9,11 @@ with tracing off; the parent goes first in the even pairs and the change in
 the odd ones.  For each end-to-end metric the file declares, this prints
 each side's median and quartiles, the pairs the change won (ties count for
 neither side, the better direction read from the file) and how far the
-change's median is worse than the parent's, against the metric's bound.  It
-then says whether a gain may be claimed on that metric: the change won at
+change's median is worse than the parent's, against the metric's bound:
+"within", "EXCEEDED", or "unresolved" when the parent's quartile spread
+exceeds the bound relative to its median, so that the runs cannot tell a
+move of the bound's size, unless every change run beats every parent run.
+It then says whether a gain may be claimed on that metric: the change won at
 least nine tenths of at least ten pairs, and its median is better than the
 parent's by more than the distance between the parent's quartiles.  Each
 run's JSON line is kept in memory only; nothing is written under either
@@ -54,6 +57,12 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> list[st
     c1, cm, c3 = statistics.quantiles(change, n=4, method="inclusive")
     gap = sign * (cm - pm)
     worse = max(0.0, -gap) / abs(pm) if pm else 0.0
+    spread = (p3 - p1) / abs(pm) if pm else 0.0
+    dominates = min(sign * c for c in change) > max(sign * p for p in parent)
+    if spread > metric["bound"] and not dominates:
+        verdict = f"unresolved (parent IQR {spread:.1%} of its median)"
+    else:
+        verdict = "within" if worse <= metric["bound"] else "EXCEEDED"
     claim = (len(gains) >= MIN_PAIRS and wins >= WIN_SHARE * len(gains) and gap > p3 - p1)
     return [
         f"{metric['name']} ({metric['unit']}, {metric['better']} is better):",
@@ -61,7 +70,7 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> list[st
         f"  change median {cm:.6g} (quartiles {c1:.6g}, {c3:.6g})",
         f"  change won {wins} of {len(gains)} pairs, lost {losses}",
         f"  median worse by {worse:.3%} of the parent's, bound {metric['bound']:.0%}: "
-        + ("within" if worse <= metric["bound"] else "EXCEEDED"),
+        + verdict,
         f"  gain claim (>= {WIN_SHARE:.0%} of >= {MIN_PAIRS} pairs won, median gap "
         f"{gap:.6g} > parent IQR {p3 - p1:.6g}): " + ("holds" if claim else "does not hold"),
     ]

@@ -1,18 +1,22 @@
 """Covariance and commutation matrices, the operator-level partial-transpose
 criterion matrix, and verdict reporting.
 
-V and Omega are the centered second moments of xi_j xi_k, the criterion
-matrix those of PT_B(xi_j xi_k).  A local ObservableSet on pure states and
-Werner mixtures takes the amplitude route, O(N dim^3) per psi with no D x D
-array, whose one engine is CriterionGrid: its stored factors act on the
-amplitude matrix Psi as a Psi and Psi b, the amplitudes of PT_B(I (x) b) psi,
-so the grid of a set S holds the centered moments of S's partially
-transposed members, S.pt_set.  The criterion of S is the transpose rule
-(_transpose_b_pairs) applied to the grid of S, and the moments of S, PT_B
-being an involution, are the grid of S.pt_set.  The grid forms p and the
-centered Gram matrix G_c once per psi, in chunks within GRID_CHUNK_BYTES,
-then every mu's moments; one PureState or WernerState is one psi and one
-mu of a grid.
+One map gives every reported matrix.  The centered moments
+K[j,k] = Tr(rho xi_j xi_k) - m_j m_k of Hermitian members form a Hermitian
+matrix, so each is a Hermitian part: the uncertainty matrix V + (i/2) Omega
+is hermitize(K), V and Omega its real part and twice its imaginary part,
+and the criterion matrix hermitize of the moments of PT_B(xi_j xi_k).
+
+A local ObservableSet on pure states and Werner mixtures takes the
+amplitude route, O(N dim^3) per psi with no D x D array, whose one engine
+is CriterionGrid: its stored factors act on the amplitude matrix Psi as
+a Psi and Psi b, the amplitudes of PT_B(I (x) b) psi, so the grid of a set
+S holds the centered moments of S's partially transposed members,
+S.pt_set.  The criterion of S is the transpose rule (_transpose_b_pairs)
+applied to the grid of S, and the moments of S, PT_B being an involution,
+are the grid of S.pt_set.  The grid forms p and the centered Gram matrix
+G_c once per psi, in chunks within GRID_CHUNK_BYTES, then the moments of
+every mu; one PureState or WernerState is one psi and one mu of a grid.
 Otherwise one tracer (_trace_table) reads the set's cached pt_tables
 against the state for the criterion, and against PT_B(rho) for the
 moments, as Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list, whose
@@ -117,61 +121,55 @@ def _trace_table(table, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return means, c
 
 
-def _centered_moments(rho, observables, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Means and centered second moments of xi_j xi_k, or of PT_B(xi_j xi_k)
-    when transposed: on the amplitude route one psi and one mu of the grid
-    of the set's pt_set, or of the set with the transpose rule; otherwise
-    _trace_table.  A raw operator list has no B side to transpose."""
-    if not isinstance(observables, ObservableSet):
-        if transposed:
-            raise TypeError("the criterion matrix needs an ObservableSet")
-        r = as_matrix(rho)
-        return _trace_table(_raw_table(observables, r.shape[0]), r)
-    if isinstance(rho, (PureState, WernerState)) and observables.is_local:
-        if isinstance(rho, PureState):
-            rho = WernerState(rho, 1.0)
-        grid = CriterionGrid(observables if transposed else observables.pt_set)
-        grid.add([rho.psi])
-        means, k = next(grid._moments([rho.mu]))
-        return means[0], _transpose_b_pairs(k[0], observables.on_b) if transposed else k[0]
-    da, db = observables.dim_a, observables.dim_b
+def _as_werner(rho, obs_set: ObservableSet) -> WernerState | None:
+    """A PureState (mu = 1) or WernerState over a local set, as the one psi
+    and one mu of a grid: the amplitude route.  None otherwise."""
+    if isinstance(rho, (PureState, WernerState)) and obs_set.is_local:
+        return WernerState(rho, 1.0) if isinstance(rho, PureState) else rho
+    return None
+
+
+def _dense_state(rho, obs_set: ObservableSet) -> np.ndarray:
+    """rho as the D x D matrix the dense route traces, on the set's bipartition."""
+    da, db = obs_set.dim_a, obs_set.dim_b
     require_bipartition(rho, da, db)
     r = as_matrix(rho)
     if r.shape[0] != da * db:
         raise ValueError(f"state dimension {r.shape[0]} does not match observables {da * db}")
-    if not transposed:
-        r = partial_transpose(r, da, db, "B")
-    return _trace_table(observables.pt_tables, r)
+    return r
 
 
-def _covariance_parts(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V, the real part of the centered moments of xi_j xi_k symmetrized, and
-    Omega, twice their imaginary part antisymmetrized, for each member of a
-    stack (..., N, N)."""
-    v, omega = centered.real, 2.0 * centered.imag
-    return (v + np.swapaxes(v, -1, -2)) / 2, (omega - np.swapaxes(omega, -1, -2)) / 2
-
-
-def _moments(rho, observables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Means, covariance V and commutation Omega from the centered moments of
-    xi_j xi_k: the grid of the set's pt_set, or pt_tables against PT_B(rho)."""
-    means, centered = _centered_moments(rho, observables, transposed=False)
-    return (means, *_covariance_parts(centered))
+def _moments(rho, observables) -> tuple[np.ndarray, np.ndarray]:
+    """Means m_j and the uncertainty matrix hermitize(K) of the centered
+    moments K of xi_j xi_k: one psi and one mu of the grid of the set's
+    pt_set, pt_tables against PT_B(rho), or a raw list's own table."""
+    if not isinstance(observables, ObservableSet):
+        r = as_matrix(rho)
+        means, k = _trace_table(_raw_table(observables, r.shape[0]), r)
+    elif (w := _as_werner(rho, observables)) is not None:
+        grid = CriterionGrid(observables.pt_set)
+        grid.add([w.psi])
+        means, k = (x[0, 0] for x in grid._moments([w.mu]))
+    else:
+        r = partial_transpose(_dense_state(rho, observables),
+                              observables.dim_a, observables.dim_b, "B")
+        means, k = _trace_table(observables.pt_tables, r)
+    return means, hermitize(k)
 
 
 def covariance_commutation(rho, observables) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance matrix V and commutation matrix Omega in one pass.
+    """Covariance matrix V and commutation matrix Omega in one pass: the real
+    part and twice the imaginary part of the uncertainty matrix.
 
     V[j,k] = <{xi_j, xi_k}>/2 - <xi_j><xi_k> and Omega[j,k] = -i <[xi_j, xi_k]>.
     """
-    _, v, omega = _moments(rho, observables)
-    return v, omega
+    u = _moments(rho, observables)[1]
+    return u.real, 2.0 * u.imag
 
 
 def uncertainty_matrix(rho, observables) -> np.ndarray:
     """V + (i/2) Omega: Hermitian and positive semidefinite for any state."""
-    v, omega = covariance_commutation(rho, observables)
-    return hermitize(v + 0.5j * omega)
+    return _moments(rho, observables)[1]
 
 
 def _transpose_b_pairs(k: np.ndarray, on_b: np.ndarray) -> np.ndarray:
@@ -262,49 +260,22 @@ def _centered_gram(psis, obs_set, factors) -> tuple[np.ndarray, np.ndarray]:
     return p, g_c
 
 
-def _mu_moments(p, g_c, mus, obs_set):
-    """For each mu of mus in turn, the means m = mu p + (1-mu) tau and
-    centered second moments K = E - m m^T of mu |psi><psi| + (1-mu) I/D over
-    a local set, for every psi whose p and G_c (_centered_gram) are given,
-    shapes (n_psi, N) and (n_psi, N, N), formed as
-    K = mu G_c + (1-mu) T_c + mu (1-mu) (p - tau)(p - tau)^T.
-
-    Over the stored factors these are the moments of the members of
-    obs_set.pt_set.  tau and T_c are the set's mixed_moments.  No means of
-    order M are subtracted from second moments of order M^2, a cancellation
-    that at a few hundred spins per side would lift rounding above the
-    verdict tolerance.  One mu at a time, because a product broadcast over
-    the whole grid would hold numpy's iteration buffers, larger than the
-    grid itself.  Every mu's K is built in one buffer, in the order of the
-    sum above, and the next mu overwrites it: a caller reads or copies each
-    K before it asks for the next.
-    """
-    mus = mixing_weights(mus)
-    tau, t_c = obs_set.mixed_moments
-    shift = p - tau
-    outer = shift[:, :, None] * shift[:, None, :]
-
-    def moments():
-        k = np.empty_like(g_c)
-        scaled = np.empty_like(outer)
-        for mu in mus:
-            np.multiply(mu, g_c, out=k)
-            k += (1.0 - mu) * t_c
-            k += np.multiply(mu * (1.0 - mu), outer, out=scaled)
-            yield mu * p + (1.0 - mu) * tau, k
-
-    return moments()
-
-
 def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
-    """C[j,k] = Tr[rho PT_B(xi_j xi_k)] - Tr[rho PT_B(xi_j)] Tr[rho PT_B(xi_k)],
-    the transposed centered moments of _centered_moments.
+    """C[j,k] = Tr[rho PT_B(xi_j xi_k)] - Tr[rho PT_B(xi_j)] Tr[rho PT_B(xi_k)]:
+    one cell of CriterionGrid.matrices, or hermitize of pt_tables traced
+    against rho.
 
     With a single observable this degenerates to the 1x1 variance of the
     transposed operator, which is never negative: one observable cannot
     detect anything.
     """
-    return hermitize(_centered_moments(rho, obs_set, transposed=True)[1])
+    if not isinstance(obs_set, ObservableSet):
+        raise TypeError("the criterion matrix needs an ObservableSet")
+    if (w := _as_werner(rho, obs_set)) is not None:
+        grid = CriterionGrid(obs_set)
+        grid.add([w.psi])
+        return grid.matrices([w.mu])[0, 0]
+    return hermitize(_trace_table(obs_set.pt_tables, _dense_state(rho, obs_set))[1])
 
 
 class CriterionGrid:
@@ -314,8 +285,8 @@ class CriterionGrid:
     formed once and serve every block; add() reduces a block to each psi's
     p and G_c (_centered_gram), whose moments (_moments) are those of the
     set's pt_set, and matrices() applies the transpose rule and hermitize
-    to them.  Each psi is reduced alone, so the blocks do not change a bit
-    of the result."""
+    to them in place.  Each psi is reduced alone, so the blocks do not
+    change a bit of the result."""
 
     def __init__(self, obs_set: ObservableSet):
         if not obs_set.is_local:
@@ -329,22 +300,44 @@ class CriterionGrid:
         PureStates, to their p and G_c."""
         self._blocks.append(_centered_gram(psis, self.obs_set, self._factors))
 
-    def _moments(self, mus):
-        """_mu_moments of every psi added so far, in the order added."""
+    def _moments(self, mus) -> tuple[np.ndarray, np.ndarray]:
+        """Means m = mu p + (1-mu) tau, shape (n_mu, n_psi, N), and centered
+        second moments K = mu G_c + (1-mu) T_c + mu (1-mu) (p - tau)(p - tau)^T,
+        shape (n_mu, n_psi, N, N), of mu |psi><psi| + (1-mu) I/D for every mu
+        of mus and psi added so far, in the order added.
+
+        Over the stored factors these are the moments of the members of
+        obs_set.pt_set.  tau and T_c are the set's mixed_moments.  No means
+        of order M are subtracted from second moments of order M^2, a
+        cancellation that at a few hundred spins per side would lift
+        rounding above the verdict tolerance.  K is built one mu at a time,
+        in the order of the sum above, because a product broadcast over the
+        whole grid would hold numpy's iteration buffers, larger than the
+        grid itself.
+        """
         if not self._blocks:
             raise ValueError("a grid needs at least one state")
+        mus = mixing_weights(mus)
         p, g_c = (np.concatenate(parts) for parts in zip(*self._blocks))
-        return _mu_moments(p, g_c, mus, self.obs_set)
+        tau, t_c = self.obs_set.mixed_moments
+        shift = p - tau
+        outer = shift[:, :, None] * shift[:, None, :]
+        scaled = np.empty_like(outer)
+        k = np.empty((len(mus), *g_c.shape), dtype=complex)
+        for k_mu, mu in zip(k, mus):
+            np.multiply(mu, g_c, out=k_mu)
+            k_mu += (1.0 - mu) * t_c
+            k_mu += np.multiply(mu * (1.0 - mu), outer, out=scaled)
+        return mus[:, None, None] * p + (1.0 - mus)[:, None, None] * tau, k
 
     def matrices(self, mus) -> np.ndarray:
-        """The matrices of every mu of mus and psi added so far, in the order
-        added, shape (n_mu, n_psi, N, N)."""
-        rows = self._moments(mus)
-        n_psi, n = sum(len(p) for p, _ in self._blocks), len(self.obs_set)
-        out = np.empty((len(mus), n_psi, n, n), dtype=complex)
-        for out_mu, (_, k) in zip(out, rows):
-            out_mu[...] = hermitize(_transpose_b_pairs(k, self.obs_set.on_b))
-        return out
+        """The criterion matrices of every mu of mus and psi added so far, in
+        the order added, shape (n_mu, n_psi, N, N): the transpose rule and
+        hermitize applied to the moments, one mu at a time, in place."""
+        _, k = self._moments(mus)
+        for k_mu in k:
+            k_mu[...] = hermitize(_transpose_b_pairs(k_mu, self.obs_set.on_b))
+        return k
 
 
 class CriterionEvaluator:
@@ -528,14 +521,14 @@ def correlation_data_from_state(rho, obs_set: ObservableSet) -> CorrelationData:
                 f"observable {o.label!r} is not locally supported with a definite "
                 "transpose parity; it cannot enter the data-driven path"
             )
-    means, v, omega = _moments(rho, obs_set)
+    means, u = _moments(rho, obs_set)
     return CorrelationData(
         labels=obs_set.labels,
         partition=tuple(o.support for o in obs_set),
         pt_parity=tuple(o.pt_parity for o in obs_set),
         means=means,
-        v=v,
-        omega=omega,
+        v=u.real,
+        omega=2.0 * u.imag,
     )
 
 

@@ -100,6 +100,8 @@ class ObservableSet:
     dim_b: int
 
     def __post_init__(self):
+        if self.dim_a < 1 or self.dim_b < 1:
+            raise ValueError("subsystem dimensions must be positive")
         obs = tuple(self.observables)
         if not obs:
             raise ValueError("observable set is empty")

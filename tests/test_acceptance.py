@@ -2,6 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The heavy M=20 sweep is
 computed once and shared; its wall time is measured inside criterion 2.
+Criteria 2 and 4-6 are checked on the dense route (CriterionEvaluator on
+werner_mix) and again on the grid route, the engines that write every
+spin-ensemble CSV: szsz_evolve_blocks, CriterionGrid, hp_quadrature_block
+and PptGrid.  The grid-route twins have no wall-time bound.
 """
 
 import json
@@ -14,14 +18,17 @@ import pytest
 from entcov.criterion import (
     CorrelationData,
     CriterionEvaluator,
+    CriterionGrid,
     correlation_data_from_state,
     criterion_matrix,
     criterion_matrix_from_data,
     detect,
 )
-from entcov.observables import collective_spin_set, hp_quadrature_set, pauli_product_set, rotate_so3
-from entcov.reference import AnnealParams, ppt_min_eigenvalue, witness_optimize
-from entcov.states import bell_state, spin_ensemble_state, werner_mix
+from entcov.observables import (collective_spin_set, hp_quadrature_block, hp_quadrature_set,
+                                pauli_product_set, rotate_so3)
+from entcov.reference import AnnealParams, PptGrid, ppt_min_eigenvalue, witness_optimize
+from entcov.states import (bell_state, product_state, spin_coherent_x, spin_ensemble_state,
+                           szsz_evolve_blocks, werner_mix)
 from entcov.suite import run_property_battery
 
 DETECT_TOL = 1e-9
@@ -72,6 +79,36 @@ def m20_rotated():
 
 def detected_mask(eigs):
     return eigs[:, 0] < -DETECT_TOL
+
+
+def _grid_blocks(m, ts):
+    """The spin-ensemble psis of the times ts, in the blocks of the CLI sweep."""
+    c = spin_coherent_x(m)
+    return list(szsz_evolve_blocks(product_state(c, c), ts))
+
+
+def _grid_matrices(obs_set, mus, blocks):
+    """CriterionGrid matrices of every (mu, psi), mu-major, shape (n_mu n_psi, N, N)."""
+    grid = CriterionGrid(obs_set)
+    for block in blocks:
+        grid.add(block)
+    return grid.matrices(mus).reshape(-1, len(obs_set), len(obs_set))
+
+
+def m20_grid():
+    """Grid-route spectra at M=20, mu=1 over T_GRID: the sextet and its
+    quadrature block, on the optimal and the 45-degree rotated axes;
+    shared by the twins of criteria 2, 4 and 5."""
+    if "grid" not in _cache:
+        spin = collective_spin_set(20)
+        blocks = _grid_blocks(20, T_GRID)
+        spectra = []
+        for s in (spin, rotate_so3(spin, ROTATION_45Z)):
+            matrices = _grid_matrices(s, [1.0], blocks)
+            spectra += [np.linalg.eigvalsh(matrices),
+                        np.linalg.eigvalsh(hp_quadrature_block(matrices, 20))]
+        _cache["grid"] = spectra
+    return _cache["grid"]
 
 
 def test_acceptance_1_werner_bell_threshold():
@@ -129,6 +166,26 @@ def test_acceptance_2_spin_ensemble_window():
     _finish(2, f"M=20 window flips at t={flip:.4f} in {elapsed:.1f}s", failures)
 
 
+def test_acceptance_2_grid_route():
+    failures = []
+    neg_counts = (m20_grid()[0] < -DETECT_TOL).sum(axis=1)
+    if neg_counts[0] != 0:
+        failures.append("t=0 point is detected")
+    detected_idx = np.flatnonzero(neg_counts > 0)
+    last = int(detected_idx[-1])
+    if not np.array_equal(detected_idx, np.arange(1, last + 1)):
+        failures.append("detection window is not a single interval starting at the first t > 0")
+    if not np.all(neg_counts[1:last + 1] == 1):
+        failures.append("more than one negative eigenvalue inside the window")
+    flip = 0.5 * (T_GRID[last] + T_GRID[last + 1])
+    if abs(flip - 0.13) > 0.01:
+        failures.append(f"flip at t={flip:.4f}, outside 0.13 +/- 0.01")
+    scaling = 1.0 / (2.0 * math.sqrt(20.0))
+    if not scaling / 2 < flip < scaling * 2:
+        failures.append(f"flip {flip:.4f} not within a factor 2 of 1/(2 sqrt(M)) = {scaling:.4f}")
+    _finish(2, f"grid route: M=20 window flips at t={flip:.4f}", failures)
+
+
 def test_acceptance_3_determinant_consistency():
     failures = []
     eigs = m20_cm()
@@ -153,6 +210,19 @@ def test_acceptance_4_duan_simon_equivalence():
     _finish(4, f"quadrature criterion flips at the same grid point (index {cm_last})", failures)
 
 
+def test_acceptance_4_grid_route():
+    failures = []
+    cm_eigs, ds_eigs, _, _ = m20_grid()
+    cm, ds = detected_mask(cm_eigs), detected_mask(ds_eigs)
+    if not np.array_equal(cm, ds):
+        failures.append(f"windows differ at t={T_GRID[np.flatnonzero(cm != ds)[0]]:.4f}")
+    cm_last, ds_last = np.flatnonzero(cm)[-1], np.flatnonzero(ds)[-1]
+    if cm_last != ds_last:
+        failures.append(f"flip indices differ: cm {cm_last}, ds {ds_last}")
+    _finish(4, f"grid route: quadrature block flips at the same grid point (index {cm_last})",
+            failures)
+
+
 def test_acceptance_5_basis_independence():
     failures = []
     base = m20_cm()
@@ -172,6 +242,29 @@ def test_acceptance_5_basis_independence():
     _finish(
         5,
         f"spectra invariant to {worst:.1e}; rotated quadratures detect "
+        f"{rds.sum()}/{cm.sum()} points",
+        failures,
+    )
+
+
+def test_acceptance_5_grid_route():
+    failures = []
+    base, _, rotated, rotated_ds = m20_grid()
+    worst = float(np.abs(base - rotated).max())
+    if worst > 1e-9:
+        failures.append(f"rotated spectrum deviates by {worst:.3e} > 1e-9")
+    cm = detected_mask(base)
+    rds = detected_mask(rotated_ds)
+    if not np.all(cm[rds]):
+        failures.append("rotated quadratures detect outside the 6-operator window")
+    if not rds.sum() < cm.sum():
+        failures.append(
+            f"rotated quadrature window ({rds.sum()} points) is not strictly smaller "
+            f"than the 6-operator window ({cm.sum()} points)"
+        )
+    _finish(
+        5,
+        f"grid route: spectra invariant to {worst:.1e}; rotated quadratures detect "
         f"{rds.sum()}/{cm.sum()} points",
         failures,
     )
@@ -201,6 +294,29 @@ def test_acceptance_6_containment_vs_ppt():
     _finish(
         6,
         f"M=2 grid: {cm_detected.sum()} detected points all NPT, "
+        f"PPT region larger by {(ppt_detected & ~cm_detected).sum()} points",
+        failures,
+    )
+
+
+def test_acceptance_6_grid_route():
+    failures = []
+    m = 2
+    mus = np.linspace(0.0, 1.0, 101)
+    blocks = _grid_blocks(m, np.linspace(0.0, 0.5, 51))
+    cm_detected = detected_mask(np.linalg.eigvalsh(
+        _grid_matrices(collective_spin_set(m), mus, blocks)))
+    ppt = PptGrid()
+    for block in blocks:
+        ppt.add(block)
+    ppt_detected = ppt.min_eigenvalues(mus).ravel() < -1e-10
+    if not np.all(ppt_detected[cm_detected]):
+        failures.append("a detected point has a positive partial transpose")
+    if not (ppt_detected & ~cm_detected).any():
+        failures.append("containment is not strict")
+    _finish(
+        6,
+        f"grid route: M=2 grid: {cm_detected.sum()} detected points all NPT, "
         f"PPT region larger by {(ppt_detected & ~cm_detected).sum()} points",
         failures,
     )

@@ -114,6 +114,30 @@ def test_too_few_pairs_claim_nothing_and_bound_exceeded(tmp_path, capsys):
     assert "median worse by 33.333% of the parent's, bound 10%: EXCEEDED" in rss
 
 
+def test_wide_parent_spread_is_unresolved(tmp_path, capsys):
+    # the parent's memory spans 25..35 MB, an IQR of 5 on a median of 30
+    # (16.7%, above the 10% bound); the change is 1 MB better in each pair
+    # but not better than every parent run
+    parent = {seed: (100.0, 25.0 + (seed % 5) * 2.5) for seed in range(1, 11)}
+    change = {seed: (100.0, parent[seed][1] - 1.0) for seed in range(1, 11)}
+    code, _, out = run_pairs(tmp_path, capsys, parent, change, 10)
+    assert code == 0
+    rss = out[out.index("peak_rss_mb ("):]
+    assert "bound 10%: unresolved (parent IQR 16.7% of its median)" in rss
+    items = out[out.index("items_per_s ("):out.index("peak_rss_mb (")]
+    assert "bound 25%: within" in items
+
+
+def test_wide_parent_spread_resolved_when_every_change_run_wins(tmp_path, capsys):
+    # the same wide parent spread, but every change run is below every parent run
+    parent = {seed: (100.0, 25.0 + (seed % 5) * 2.5) for seed in range(1, 11)}
+    change = {seed: (100.0, 20.0 + seed * 0.1) for seed in range(1, 11)}
+    code, _, out = run_pairs(tmp_path, capsys, parent, change, 10)
+    assert code == 0
+    rss = out[out.index("peak_rss_mb ("):]
+    assert "bound 10%: within" in rss and "unresolved" not in rss
+
+
 def test_incorrect_run_exits_1(tmp_path, capsys):
     table = {seed: (100.0, 30.0) for seed in range(1, 3)}
     log = tmp_path / "calls.log"

@@ -22,8 +22,8 @@ from entcov.criterion import (
     detect,
     uncertainty_matrix,
 )
-from entcov.criterion import (_centered_gram, _centered_moments, _covariance_parts,
-                              _diagonal_scaling, _gram_factors, _moments, _transpose_b_pairs)
+from entcov.criterion import (_centered_gram, _diagonal_scaling, _gram_factors, _moments,
+                              _transpose_b_pairs)
 from entcov.linalg import HermiticityError, hermitize, partial_transpose
 from entcov.observables import (
     Observable,
@@ -436,7 +436,8 @@ def test_dense_moments_match_entrywise_oracle(seed, dims, n_a, n_b, n_joint, ran
     order = rng.permutation(len(members))
     obs_set = ObservableSet(tuple(members[i] for i in order), da, db)
     rho = DensityMatrix(da, db, oracles.random_density(rng, da * db, rank))
-    means, v, omega = _moments(rho, obs_set)
+    means, u = _moments(rho, obs_set)
+    v, omega = u.real, 2.0 * u.imag
     r, mats = rho.matrix, obs_set.matrices()
     pairs = [(x, y) for x in mats for y in mats]
     shape = (len(mats), len(mats))
@@ -474,7 +475,7 @@ def test_criterion_is_transpose_rule_on_pt_set_moments(seed, dims, n_a, n_b, def
         obs_set = ObservableSet(tuple(members[i] for i in rng.permutation(len(members))), da, db)
     rho = DensityMatrix(da, db, oracles.random_density(rng, da * db, rank))
     c = criterion_matrix(rho, obs_set)
-    k = _centered_moments(rho, obs_set.pt_set, transposed=False)[1]
+    k = _moments(rho, obs_set.pt_set)[1]
     expected = hermitize(_transpose_b_pairs(k, obs_set.on_b))
     assert np.abs(c - expected).max() <= 1e-12 * max(1.0, np.linalg.norm(c, 2))
     # PT_B is an involution, bit for bit, and keeps each member's parity
@@ -540,10 +541,10 @@ def test_grid_route_matches_dense_route(seed, dims, n_a, n_b, n_psi, mus):
     # the set are the grid of its pt_set
     moment_grid = CriterionGrid(obs_set.pt_set)
     moment_grid.add(psis)
-    moments = [_covariance_parts(k) for _, k in moment_grid._moments(mus)]
+    u = hermitize(moment_grid._moments(mus)[1])
     assert grid.shape == (len(mus), n_psi, len(obs_set), len(obs_set))
     for i, mu in enumerate(mus):
-        v_grid, omega_grid = moments[i]
+        v_grid, omega_grid = u[i].real, 2.0 * u[i].imag
         for j, psi in enumerate(psis):
             rho = werner_mix(psi, mu)
             c = criterion_matrix(rho, obs_set)
@@ -804,6 +805,48 @@ def test_pure_state_exports_validate(m, quadratures):
             lowest = np.linalg.eigvalsh(data.v + 0.5j * data.omega)[0]
             if t in (0.0, np.pi / 2):
                 assert abs(lowest) <= 1e-12 * max(1.0, np.abs(data.v).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 3), (3, 2)]),
+    n_a=st.integers(0, 3),
+    n_b=st.integers(0, 3),
+    definite=st.booleans(),
+    route=st.sampled_from(["raw", "amplitude", "dense"]),
+    rank=st.integers(1, 6),
+    mu=st.floats(0.0, 1.0),
+)
+def test_one_map_gives_u_v_omega_and_record(seed, dims, n_a, n_b, definite, route, rank, mu):
+    # every route reads one uncertainty matrix, exactly Hermitian, whose real
+    # part is V and twice its imaginary part Omega, bit for bit, in the
+    # moment functions and in the record alike
+    assume(n_a + n_b >= 1)
+    rng = np.random.default_rng(seed)
+    da, db = dims
+    if definite:
+        obs_set = _definite_parity_set(rng, da, db, n_a, n_b)
+    else:
+        members = (
+            [Observable(f"a{i}", oracles.random_hermitian(rng, da), "A") for i in range(n_a)]
+            + [Observable(f"b{i}", oracles.random_hermitian(rng, db), "B") for i in range(n_b)]
+        )
+        obs_set = ObservableSet(tuple(members[i] for i in rng.permutation(len(members))), da, db)
+    if route == "amplitude":
+        state, obs = WernerState(PureState(da, db, oracles.random_pure(rng, da * db)), mu), obs_set
+    else:
+        state = DensityMatrix(da, db, oracles.random_density(rng, da * db, rank))
+        state, obs = (state.matrix, obs_set.matrices()) if route == "raw" else (state, obs_set)
+    u = uncertainty_matrix(state, obs)
+    v, omega = covariance_commutation(state, obs)
+    assert np.array_equal(u, u.conj().T)
+    assert np.array_equal(u.real, v)
+    assert np.array_equal(2.0 * u.imag, omega)
+    if definite and route != "raw":
+        data = correlation_data_from_state(state, obs)
+        assert np.array_equal(data.v, v)
+        assert np.array_equal(data.omega, omega)
 
 
 class TestDetect:

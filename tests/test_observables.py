@@ -243,6 +243,16 @@ class TestValidation:
             Observable("z", oracles.SZ, "A", parity)
         assert not is_unit_parity(parity)
 
+    @pytest.mark.parametrize("members, dim_a, dim_b", [
+        ((Observable("a", np.zeros((0, 0)), "A"), Observable("b", np.eye(2), "B")), 0, 2),
+        ((Observable("a", np.eye(2), "A"),), 2, -1),
+    ])
+    def test_rejects_non_positive_dimension(self, members, dim_a, dim_b):
+        # refused before the member checks, which a 0 x 0 factor on a side of
+        # dimension 0 would pass
+        with pytest.raises(ValueError, match="subsystem dimensions must be positive"):
+            ObservableSet(members, dim_a, dim_b)
+
     def test_rejects_duplicate_labels(self):
         a = Observable("w", np.eye(2), "A")
         b = Observable("w", np.kron(oracles.SZ, oracles.SZ), "JOINT")
