@@ -14,12 +14,12 @@ export OPENBLAS_NUM_THREADS=${OPENBLAS_NUM_THREADS:-1}
 export OMP_NUM_THREADS=${OMP_NUM_THREADS:-1}
 export MKL_NUM_THREADS=${MKL_NUM_THREADS:-1}
 
-# without an installed console script, run the package from this checkout
-if ! command -v entcov >/dev/null 2>&1; then
-    SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/src"
-    export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
-    entcov() { python3 -m entcov.cli "$@"; }
-fi
+# always the package of this checkout, never an installed one, so that two
+# checkouts run side by side each run their own code; the function shadows
+# any entcov on PATH, and the record snippet below imports from PYTHONPATH
+SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/src"
+export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
+entcov() { python3 -m entcov.cli "$@"; }
 
 # wall time of each command, on stderr only, so the outputs stay unchanged
 timed() {

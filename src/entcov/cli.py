@@ -205,6 +205,9 @@ def run_werner_bell(cfg: SweepConfig) -> int:
 
 
 def _require_witness_dim(m: int):
+    # before the square, which a negative m would pass off as large
+    if m < 1:
+        raise ValueError("ensemble size must be >= 1")
     if (m + 1) ** 2 > EW_DIM_CAP:
         raise ValueError(
             f"witness runs are capped at joint dimension {EW_DIM_CAP} "

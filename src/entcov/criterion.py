@@ -7,20 +7,20 @@ matrix, so each is a Hermitian part: the uncertainty matrix V + (i/2) Omega
 is hermitize(K), V and Omega its real part and twice its imaginary part,
 and the criterion matrix hermitize of the moments of PT_B(xi_j xi_k).
 
-A local ObservableSet on pure states and Werner mixtures takes the
-amplitude route, O(N dim^3) per psi with no D x D array, whose one engine
-is CriterionGrid: its stored factors act on the amplitude matrix Psi as
-a Psi and Psi b, the amplitudes of PT_B(I (x) b) psi, so the grid of a set
-S holds the centered moments of S's partially transposed members,
-S.pt_set.  The criterion of S is the transpose rule (_transpose_b_pairs)
-applied to the grid of S, and the moments of S, PT_B being an involution,
-are the grid of S.pt_set.  The grid forms p and the centered Gram matrix
-G_c once per psi, in chunks within GRID_CHUNK_BYTES, then the moments of
-every mu; one PureState or WernerState is one psi and one mu of a grid.
-Otherwise one tracer (_trace_table) reads the set's cached pt_tables
-against the state for the criterion, and against PT_B(rho) for the
-moments, as Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list, whose
-members must be finite and Hermitian by the set's rule, traces a per-call
+A local ObservableSet on a state that states.as_werner reads as one psi
+and one mu takes the amplitude route, O(N dim^3) per psi with no D x D
+array, whose one engine is CriterionGrid: its stored factors act on the
+amplitude matrix Psi as a Psi and Psi b, the amplitudes of PT_B(I (x) b)
+psi, so the grid of a set S holds the centered moments of S's partially
+transposed members, S.pt_set.  The criterion of S is the transpose rule
+(_transpose_b_pairs) applied to the grid of S, and the moments of S, PT_B
+being an involution, are the grid of S.pt_set.  The grid forms p and the
+centered Gram matrix G_c once per psi, in chunks within GRID_CHUNK_BYTES,
+then the moments of every mu.  Otherwise one tracer (_trace_table) reads
+the set's cached pt_tables against the state's dense_matrix for the
+criterion, and against PT_B(rho) for the moments, as
+Tr(rho X) = Tr(PT_B(rho) PT_B(X)); a raw operator list, whose members
+must be finite and Hermitian by the set's rule, traces a per-call
 table of its own products, for the moments only.
 
 The criterion matrix is bilinear in the operators, so the Duan-Simon (ds)
@@ -55,7 +55,7 @@ import numpy as np
 from .linalg import (INPUT_HERMITICITY_TOL, hermitian_eigenvalues, hermiticity_defect,
                      hermitize, partial_transpose)
 from .observables import SUPPORT_A, SUPPORT_B, Observable, ObservableSet
-from .states import (GRID_CHUNK_BYTES, PureState, WernerState, as_matrix, as_state_stack,
+from .states import (GRID_CHUNK_BYTES, as_matrix, as_state_stack, as_werner, dense_matrix,
                      mixing_weights, require_bipartition)
 
 DEFAULT_VERDICT_TOL = 1e-9
@@ -121,24 +121,6 @@ def _trace_table(table, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return means, c
 
 
-def _as_werner(rho, obs_set: ObservableSet) -> WernerState | None:
-    """A PureState (mu = 1) or WernerState over a local set, as the one psi
-    and one mu of a grid: the amplitude route.  None otherwise."""
-    if isinstance(rho, (PureState, WernerState)) and obs_set.is_local:
-        return WernerState(rho, 1.0) if isinstance(rho, PureState) else rho
-    return None
-
-
-def _dense_state(rho, obs_set: ObservableSet) -> np.ndarray:
-    """rho as the D x D matrix the dense route traces, on the set's bipartition."""
-    da, db = obs_set.dim_a, obs_set.dim_b
-    require_bipartition(rho, da, db)
-    r = as_matrix(rho)
-    if r.shape[0] != da * db:
-        raise ValueError(f"state dimension {r.shape[0]} does not match observables {da * db}")
-    return r
-
-
 def _moments(rho, observables) -> tuple[np.ndarray, np.ndarray]:
     """Means m_j and the uncertainty matrix hermitize(K) of the centered
     moments K of xi_j xi_k: one psi and one mu of the grid of the set's
@@ -146,13 +128,13 @@ def _moments(rho, observables) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(observables, ObservableSet):
         r = as_matrix(rho)
         means, k = _trace_table(_raw_table(observables, r.shape[0]), r)
-    elif (w := _as_werner(rho, observables)) is not None:
+    elif w := observables.is_local and as_werner(rho):
         grid = CriterionGrid(observables.pt_set)
         grid.add([w.psi])
         means, k = (x[0, 0] for x in grid._moments([w.mu]))
     else:
-        r = partial_transpose(_dense_state(rho, observables),
-                              observables.dim_a, observables.dim_b, "B")
+        da, db = observables.dim_a, observables.dim_b
+        r = partial_transpose(dense_matrix(rho, da, db), da, db, "B")
         means, k = _trace_table(observables.pt_tables, r)
     return means, hermitize(k)
 
@@ -271,11 +253,12 @@ def criterion_matrix(rho, obs_set: ObservableSet) -> np.ndarray:
     """
     if not isinstance(obs_set, ObservableSet):
         raise TypeError("the criterion matrix needs an ObservableSet")
-    if (w := _as_werner(rho, obs_set)) is not None:
+    if w := obs_set.is_local and as_werner(rho):
         grid = CriterionGrid(obs_set)
         grid.add([w.psi])
         return grid.matrices([w.mu])[0, 0]
-    return hermitize(_trace_table(obs_set.pt_tables, _dense_state(rho, obs_set))[1])
+    r = dense_matrix(rho, obs_set.dim_a, obs_set.dim_b)
+    return hermitize(_trace_table(obs_set.pt_tables, r)[1])
 
 
 class CriterionGrid:

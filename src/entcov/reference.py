@@ -7,9 +7,10 @@ The partial-transpose minimum of a PureState or a WernerState has a closed
 form in the two largest Schmidt coefficients, and PptGrid is its one
 engine: the `ppt` column of a spin-ensemble sweep forms no D x D array and
 takes the Schmidt coefficients of each block of its t grid from one stacked
-SVD, and one PureState or WernerState is one add and one mu of a grid.  A
-DensityMatrix takes the dense spectrum, and a raw array, which carries no
-bipartition, is rejected.
+SVD, and a state that states.as_werner reads as one psi and one mu is one
+add and one mu of a grid.  A DensityMatrix takes the dense spectrum, and
+a raw array, which carries no bipartition, is rejected.  The witness
+reads its state through states.dense_matrix.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ import numpy as np
 
 from .criterion import (DEFAULT_VERDICT_TOL, ENTANGLED, UNDETECTED, CriterionReport,
                         criterion_matrix, detect)
-from .linalg import (clip_psd, hermitian_eigenvalues, hermitize, kron, partial_transpose,
-                     require_square, transpose_factor)
+from .linalg import (INPUT_HERMITICITY_TOL, clip_psd, hermitian_eigenvalues, hermiticity_defect,
+                     hermitize, kron, partial_transpose, require_square, transpose_factor)
 from .observables import ObservableSet, collective_spin_matrices, hp_quadrature_set
-from .states import (DensityMatrix, PureState, WernerState, as_matrix, as_state_stack,
-                     mixing_weights, require_bipartition)
+from .states import DensityMatrix, as_state_stack, as_werner, dense_matrix, mixing_weights
 
 
 def ppt_min_eigenvalue(rho) -> float:
@@ -34,12 +34,10 @@ def ppt_min_eigenvalue(rho) -> float:
     is one psi and one mu of a PptGrid.  A DensityMatrix is partially
     transposed over its own bipartition and eigensolved densely.
     """
-    if isinstance(rho, PureState):
-        rho = WernerState(rho, 1.0)
-    if isinstance(rho, WernerState):
+    if w := as_werner(rho):
         grid = PptGrid()
-        grid.add([rho.psi])
-        return float(grid.min_eigenvalues([rho.mu])[0, 0])
+        grid.add([w.psi])
+        return float(grid.min_eigenvalues([w.mu])[0, 0])
     if not isinstance(rho, DensityMatrix):
         raise TypeError("ppt_min_eigenvalue needs a PureState, WernerState or DensityMatrix, "
                         f"got {type(rho).__name__}")
@@ -170,8 +168,8 @@ def decomposable_split(
     the largest remaining negative-part norm of P and (w - P)^(T_A).
     Non-convergence within SPLIT_MAX_ITER rounds, or a residual above
     SPLIT_TOL, reports infeasible.  A w or a start that is not one finite
-    square matrix of dimension dim_a * dim_b is rejected, start by name,
-    before any eigensolve.
+    square matrix of dimension dim_a * dim_b, or a w whose hermiticity_defect
+    exceeds INPUT_HERMITICITY_TOL, is rejected by name before any eigensolve.
     """
     if dim_a != dim_b:
         raise ValueError("decomposable_split expects equal subsystem dimensions")
@@ -186,6 +184,10 @@ def decomposable_split(
             raise ValueError(f"start: {exc}") from None
         if start.shape != w.shape:
             raise ValueError(f"start has shape {start.shape}, expected {w.shape}")
+    defect = hermiticity_defect(w)
+    if defect > INPUT_HERMITICITY_TOL:
+        raise ValueError(f"w is not Hermitian: relative defect {defect:.3e} exceeds "
+                         f"{INPUT_HERMITICITY_TOL:.3e}")
     w = hermitize(w)
     neg_w = _negative_part_norm(w)
     if neg_w <= SPLIT_TOL:
@@ -267,13 +269,10 @@ def witness_optimize(
     """
     params = params or AnnealParams()
     d_side = m + 1
-    require_bipartition(rho, d_side, d_side, "witness basis")
+    r = dense_matrix(rho, d_side, d_side, "witness basis")
     dim = d_side * d_side
     basis = witness_basis(m)
     ops = [[kron(a, b) for b in basis] for a in basis]
-    r = as_matrix(rho)
-    if r.shape[0] != dim:
-        raise ValueError(f"state dimension {r.shape[0]} does not match (m+1)^2 = {dim}")
     expect = np.array(
         [[np.einsum("ab,ba->", r, ops[i][j]).real for j in range(4)] for i in range(4)]
     )

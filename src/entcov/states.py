@@ -8,6 +8,8 @@ flat with index j*(M+1) + k, j being the A-side Dicke index; this layout is
 the contract shared with the partial transpose and the CSV exports.
 A PureState is checked as the one row of a PureStateStack, and a
 WernerState's mu by mixing_weights, the rule of a grid's weights.
+The one state door: as_werner reads a state as one psi and one mu of a
+grid, or dense_matrix as the D x D matrix of a bipartition it must match.
 szsz_evolve_blocks is the one evolution route: it yields a t grid in blocks
 of at most GRID_CHUNK_BYTES of amplitudes, and spin_ensemble_state is the
 first row of a one-time call.
@@ -228,6 +230,24 @@ def require_bipartition(state, dim_a: int, dim_b: int, what: str = "observables"
             and (own.dim_a, own.dim_b) != (dim_a, dim_b)):
         raise ValueError(f"state dimensions {own.dim_a}x{own.dim_b} do not match "
                          f"{what} {dim_a}x{dim_b}")
+
+
+def as_werner(state) -> WernerState | None:
+    """A PureState as the WernerState of mu = 1, a WernerState as it is, and
+    None for any other state, which takes dense_matrix."""
+    if isinstance(state, PureState):
+        return WernerState(state, 1.0)
+    return state if isinstance(state, WernerState) else None
+
+
+def dense_matrix(state, dim_a: int, dim_b: int, what: str = "observables") -> np.ndarray:
+    """state as a D x D matrix, its own bipartition held to what's dim_a x
+    dim_b (require_bipartition) and a raw array, which has none, to D."""
+    require_bipartition(state, dim_a, dim_b, what)
+    r = as_matrix(state)
+    if r.shape[0] != dim_a * dim_b:
+        raise ValueError(f"state dimension {r.shape[0]} does not match {what} {dim_a * dim_b}")
+    return r
 
 
 def bell_state() -> PureState:

@@ -707,6 +707,17 @@ class TestOtherCommands:
     def test_witness_cap(self):
         assert main(["witness", "--m", "20"]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["witness"], ["spin-ensemble", "--criteria", "cm,ew", "--t-steps", "2"],
+    ], ids=["witness", "spin-ensemble-ew"])
+    def test_negative_m_is_not_capped(self, capsys, command):
+        # (m + 1)^2 = 49 at m = -8: named by the ensemble-size rule, not the cap
+        assert main([*command, "--m", "-8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ensemble size must be >= 1" in captured.err
+        assert "capped" not in captured.err
+
     def test_usage_errors(self):
         assert main(["no-such-command"]) == 1
         assert main([]) == 1

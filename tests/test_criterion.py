@@ -318,6 +318,21 @@ class TestCriterionMatrix:
         psi = spin_ensemble_state(4, 0.2)
         assert np.array_equal(evaluator.matrix(psi), evaluator.matrix(WernerState(psi, 1.0)))
 
+    @pytest.mark.parametrize("obs_set", [collective_spin_set(4), hp_quadrature_set(4)],
+                             ids=["sextet", "quadratures"])
+    def test_pure_state_is_werner_state_at_mu_one_for_the_moments(self, obs_set):
+        # the moment routes read a state through the same door as the criterion
+        psi = spin_ensemble_state(4, 0.2)
+        werner = WernerState(psi, 1.0)
+        assert np.array_equal(uncertainty_matrix(psi, obs_set),
+                              uncertainty_matrix(werner, obs_set))
+        for a, b in zip(covariance_commutation(psi, obs_set),
+                        covariance_commutation(werner, obs_set)):
+            assert np.array_equal(a, b)
+        pure, mixed = (correlation_data_from_state(s, obs_set) for s in (psi, werner))
+        for name in ("means", "v", "omega"):
+            assert np.array_equal(getattr(pure, name), getattr(mixed, name))
+
 
 class TestSetTables:
     """The operator-only tables live on the ObservableSet, built once."""

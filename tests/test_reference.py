@@ -70,6 +70,10 @@ class TestPptMinEigenvalue:
                                             "got ndarray"):
             ppt_min_eigenvalue(np.eye(4) / 4)
 
+    def test_pure_state_is_werner_state_at_mu_one(self):
+        for psi in (spin_ensemble_state(4, 0.2), bell_state()):
+            assert ppt_min_eigenvalue(psi) == ppt_min_eigenvalue(WernerState(psi, 1.0))
+
     def test_closed_form_product_state(self, rng):
         # a rank-1 amplitude matrix has s2 = 0 up to rounding
         for da, db in ((2, 3), (3, 3), (1, 3)):
@@ -282,6 +286,11 @@ class TestWitnessOptimize:
                                              "witness basis 4x4"):
             witness_optimize(rho, 3, FAST_ANNEAL, seed=0)
 
+    def test_raw_state_of_another_size_rejected(self):
+        # a raw array carries no bipartition and is held to the basis's D
+        with pytest.raises(ValueError, match="state dimension 4 does not match witness basis 9"):
+            witness_optimize(np.eye(4) / 4, 2, FAST_ANNEAL, seed=0)
+
 
 class TestWitnessOperator:
     def test_identity_coefficients(self):
@@ -329,6 +338,19 @@ def test_decomposable_split_rejects_malformed_witness(monkeypatch, w, message):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     with pytest.raises(ValueError, match=message):
+        decomposable_split(w, 2, 2)
+
+
+def test_decomposable_split_rejects_non_hermitian_witness(monkeypatch):
+    # its Hermitian part splits, but w itself is no witness (relative defect 1.1)
+    w = np.eye(4) + np.triu(np.ones((4, 4)), 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve reached before the witness was checked")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    with pytest.raises(ValueError, match=r"w is not Hermitian: relative defect 1\.095e\+00"):
         decomposable_split(w, 2, 2)
 
 
