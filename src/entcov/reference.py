@@ -268,10 +268,10 @@ def witness_optimize(
     whose bipartition is not (m+1) x (m+1) is rejected by name.
     """
     params = params or AnnealParams()
+    basis = witness_basis(m)  # an m below 1 is named by the ensemble-size rule
     d_side = m + 1
     r = dense_matrix(rho, d_side, d_side, "witness basis")
     dim = d_side * d_side
-    basis = witness_basis(m)
     ops = [[kron(a, b) for b in basis] for a in basis]
     expect = np.array(
         [[np.einsum("ab,ba->", r, ops[i][j]).real for j in range(4)] for i in range(4)]

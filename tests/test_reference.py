@@ -286,6 +286,12 @@ class TestWitnessOptimize:
                                              "witness basis 4x4"):
             witness_optimize(rho, 3, FAST_ANNEAL, seed=0)
 
+    @pytest.mark.parametrize("m", [0, -2, -8])
+    def test_non_positive_m_named_by_ensemble_size(self, m):
+        # it was named as a mismatch with a "witness basis -1x-1" at m = -2
+        with pytest.raises(ValueError, match="ensemble size must be >= 1"):
+            witness_optimize(werner_mix(bell_state(), 0.5), m, FAST_ANNEAL, seed=0)
+
     def test_raw_state_of_another_size_rejected(self):
         # a raw array carries no bipartition and is held to the basis's D
         with pytest.raises(ValueError, match="state dimension 4 does not match witness basis 9"):
