@@ -335,7 +335,9 @@ def test_invalid_input_rejected_by_name(build, message):
     (np.stack([np.eye(4) / 4] * 4), r"expected a square matrix, got shape \(4, 4, 4\)"),
     (np.full((4, 4), np.nan), "matrix contains NaN or Inf entries"),
     (np.ones((9, 4)), r"expected a square matrix, got shape \(9, 4\)"),
-], ids=["stack", "nan", "not-square"])
+    # its Hermitian part splits, but w itself is no witness
+    (np.eye(4) + np.triu(np.ones((4, 4)), 1), r"w is not Hermitian: relative defect 1\.095e\+00"),
+], ids=["stack", "nan", "not-square", "not-hermitian"])
 def test_decomposable_split_rejects_malformed_witness(monkeypatch, w, message):
     # by name, before any eigensolve: a stack is not one witness
     def refuse(*args, **kwargs):
@@ -344,19 +346,6 @@ def test_decomposable_split_rejects_malformed_witness(monkeypatch, w, message):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     with pytest.raises(ValueError, match=message):
-        decomposable_split(w, 2, 2)
-
-
-def test_decomposable_split_rejects_non_hermitian_witness(monkeypatch):
-    # its Hermitian part splits, but w itself is no witness (relative defect 1.1)
-    w = np.eye(4) + np.triu(np.ones((4, 4)), 1)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("eigensolve reached before the witness was checked")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    with pytest.raises(ValueError, match=r"w is not Hermitian: relative defect 1\.095e\+00"):
         decomposable_split(w, 2, 2)
 
 
